@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "common/error.h"
+#include "common/lru.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -91,12 +92,10 @@ AuthServer::AuthServer(const service::AuthService* service, ServerOptions option
                 "max_connections must be at least the shard count");
 
   const std::size_t shard_count = options_.shards;
-  const std::size_t base = options_.max_connections / shard_count;
-  const std::size_t remainder = options_.max_connections % shard_count;
   for (std::size_t s = 0; s < shard_count; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->index = s;
-    shard->max_connections = base + (s < remainder ? 1 : 0);
+    shard->max_connections = split_share(options_.max_connections, shard_count, s);
     if (shard_count > 1) {
       obs::Registry& registry = obs::Registry::instance();
       const std::string prefix = "net.shard" + std::to_string(s) + ".";
@@ -234,6 +233,8 @@ void AuthServer::adopt_fd(Shard& shard, int fd) {
 void AuthServer::accept_ready(Shard& shard) {
   static obs::Counter& backoffs =
       obs::Registry::instance().counter("net.accept_backoffs");
+  static obs::Counter& handoffs =
+      obs::Registry::instance().counter("net.shard_handoffs");
   while (true) {
     const int fd = ::accept(shard.listen_fd, nullptr, nullptr);
     if (fd < 0) {
@@ -250,29 +251,10 @@ void AuthServer::accept_ready(Shard& shard) {
       }
       return;  // EAGAIN/EWOULDBLOCK or transient failure: next sweep
     }
-    adopt_fd(shard, fd);
-  }
-}
-
-void AuthServer::accept_dispatch(Shard& shard) {
-  static obs::Counter& backoffs =
-      obs::Registry::instance().counter("net.accept_backoffs");
-  static obs::Counter& handoffs =
-      obs::Registry::instance().counter("net.shard_handoffs");
-  while (true) {
-    const int fd = ::accept(shard.listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        backoffs.add(1);
-        shard.accept_backoff_until =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(options_.accept_backoff_ms);
-      }
-      return;
-    }
-    const std::size_t target = round_robin_next_++ % shards_.size();
+    // A single shard is degenerate round-robin: its turn comes every time.
+    const std::size_t target = dispatch_ == DispatchMode::kReusePort
+                                   ? shard.index
+                                   : round_robin_next_++ % shards_.size();
     if (target == shard.index) {
       adopt_fd(shard, fd);
       continue;
@@ -320,11 +302,6 @@ void AuthServer::enqueue_frame(Shard& shard, std::size_t index,
   }
 }
 
-void AuthServer::enqueue_response(Shard& shard, std::size_t index,
-                                  const WireResponse& response) {
-  enqueue_frame(shard, index, encode_response_frame(response));
-}
-
 void AuthServer::enqueue_immediate(Shard& shard, std::size_t index,
                                    const WireResponse& response) {
   // Answers the loop produces itself must not jump ahead of verdicts for
@@ -355,6 +332,17 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
       obs::Registry::instance().counter("net.replays_rejected");
   bump(frames_in, shard.metrics.frames_in);
   Connection& connection = shard.connections[index];
+  // A v1-shaped kBadFrame answer keeps arrival order through the pending
+  // queue; a v2 one names request id 0, since no id survived the decode.
+  const auto bad_frame = [&] {
+    bad_frames.add(1);
+    enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
+  };
+  const auto bad_frame_v2 = [&] {
+    bad_frames.add(1);
+    enqueue_frame(shard, index,
+                  encode_response_frame_v2(0, WireResponse{WireStatus::kBadFrame, 0, 0}));
+  };
 
   if (frame.type == FrameType::kClientHello) {
     // Capability negotiation: pin min(advertised, ours) and answer. The
@@ -364,9 +352,7 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
     try {
       advertised = decode_hello_payload(frame.payload);
     } catch (const WireError&) {
-      bad_frames.add(1);
-      enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
-      return;
+      return bad_frame();
     }
     connection.version = std::min(advertised, kWireMaxVersion);
     hellos.add(1);
@@ -379,20 +365,12 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
     // The challenge bypasses both the pending queue (the request id carries
     // the attribution) and admission (v2's defense is cryptographic — a
     // challenge is cheap and a harvested transcript is worthless).
-    if (connection.version != kWireVersionV2) {
-      bad_frames.add(1);
-      enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
-      return;
-    }
+    if (connection.version != kWireVersionV2) return bad_frame();
     V2Request request;
     try {
       request = decode_request_payload_v2(frame.payload);
     } catch (const WireError&) {
-      // No request id survived the decode; 0 marks an unattributable answer.
-      bad_frames.add(1);
-      enqueue_frame(shard, index,
-                    encode_response_frame_v2(0, WireResponse{WireStatus::kBadFrame, 0, 0}));
-      return;
+      return bad_frame_v2();
     }
     if (connection.sessions.size() >= options_.max_sessions) {
       overloads.add(1);
@@ -413,19 +391,12 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
   }
 
   if (frame.type == FrameType::kAuthProof) {
-    if (connection.version != kWireVersionV2) {
-      bad_frames.add(1);
-      enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
-      return;
-    }
+    if (connection.version != kWireVersionV2) return bad_frame();
     ProofPayload proof;
     try {
       proof = decode_proof_payload(frame.payload);
     } catch (const WireError&) {
-      bad_frames.add(1);
-      enqueue_frame(shard, index,
-                    encode_response_frame_v2(0, WireResponse{WireStatus::kBadFrame, 0, 0}));
-      return;
+      return bad_frame_v2();
     }
     const auto session = connection.sessions.find(proof.request_id);
     if (session == connection.sessions.end()) {
@@ -457,17 +428,13 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
     // A response/challenge/server-hello frame arriving at the server is
     // well-formed but nonsensical; answer and keep the (still framed)
     // connection.
-    bad_frames.add(1);
-    enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
-    return;
+    return bad_frame();
   }
   service::AuthRequest request;
   try {
     request = decode_request_payload(frame.payload);
   } catch (const WireError&) {
-    bad_frames.add(1);
-    enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
-    return;
+    return bad_frame();
   }
   if (shard.pending_unresolved >= options_.max_pending) {
     overloads.add(1);
@@ -508,8 +475,13 @@ void AuthServer::service_readable(Shard& shard, std::size_t index) {
     return;
   }
 
+  // Frames are consumed by advancing an offset and the buffer is compacted
+  // once per sweep: erasing each frame from the front would copy the rest
+  // of the buffer per frame.
+  std::size_t consumed = 0;
   while (connection.alive) {
-    const ExtractResult extracted = try_extract_frame(connection.in);
+    const ExtractResult extracted =
+        try_extract_frame(std::string_view(connection.in).substr(consumed));
     if (extracted.status == ExtractResult::Status::kNeedMore) break;
     if (extracted.status == ExtractResult::Status::kDefect) {
       frame_errors.add(1);
@@ -521,12 +493,14 @@ void AuthServer::service_readable(Shard& shard, std::size_t index) {
         connection.close_after_flush = true;
         break;
       }
-      connection.in.erase(0, extracted.consume);
+      consumed += extracted.consume;
       continue;
     }
     handle_frame(shard, index, extracted.frame);
-    connection.in.erase(0, extracted.frame.frame_bytes);
+    consumed += extracted.frame.frame_bytes;
   }
+  // A closed or framing-lost connection's buffer is already empty here.
+  connection.in.erase(0, consumed);
 }
 
 void AuthServer::drain_pending(Shard& shard) {
@@ -563,7 +537,7 @@ void AuthServer::drain_pending(Shard& shard) {
     for (const PendingEntry& entry : entries) {
       const WireResponse response =
           entry.resolved ? entry.response : wire_response(verdicts[next_verdict++]);
-      enqueue_response(shard, entry.connection, response);
+      enqueue_frame(shard, entry.connection, encode_response_frame(response));
     }
   }
 }
@@ -649,8 +623,6 @@ void AuthServer::apply_pending_reloads() {
 }
 
 void AuthServer::run_shard(Shard& shard) {
-  const bool round_robin_acceptor =
-      dispatch_ == DispatchMode::kRoundRobin && shards_.size() > 1 && shard.index == 0;
   bool draining = false;
   std::chrono::steady_clock::time_point drain_began;
 
@@ -716,11 +688,7 @@ void AuthServer::run_shard(Shard& shard) {
     for (std::size_t slot = 0; slot < fds.size(); ++slot) {
       if (fds[slot].revents == 0) continue;
       if (fd_owner[slot] == kListenerSlot) {
-        if (round_robin_acceptor) {
-          accept_dispatch(shard);
-        } else {
-          accept_ready(shard);
-        }
+        accept_ready(shard);
         continue;
       }
       if (fd_owner[slot] == kWakeSlot) {

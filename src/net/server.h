@@ -285,12 +285,10 @@ class AuthServer {
     ShardMetrics metrics;
   };
 
-  /// Accepts on `shard`'s own listener and installs locally (single-shard
-  /// and reuseport modes).
+  /// Accepts on `shard`'s listener. Reuseport mode installs locally; in
+  /// round-robin mode (shard 0 is the only listener) each fd goes to the
+  /// next shard in rotation, installed locally when it is its own turn.
   void accept_ready(Shard& shard);
-  /// Shard 0, round-robin mode: accepts and hands each fd to the next
-  /// shard in rotation (installing locally when it is its own turn).
-  void accept_dispatch(Shard& shard);
   /// Installs one accepted fd into a connection slot, enforcing the
   /// shard's connection share.
   void adopt_fd(Shard& shard, int fd);
@@ -306,7 +304,6 @@ class AuthServer {
   /// challenges, out-of-order v2 responses) write through here directly;
   /// the v1 response path layers arrival-order queueing on top.
   void enqueue_frame(Shard& shard, std::size_t index, std::string frame_bytes);
-  void enqueue_response(Shard& shard, std::size_t index, const WireResponse& response);
   /// Queues an answer the loop produced itself, in arrival order.
   void enqueue_immediate(Shard& shard, std::size_t index, const WireResponse& response);
   /// Drains the shard's pending queue through verify_batch, max_batch at a

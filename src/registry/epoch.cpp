@@ -71,12 +71,7 @@ std::string DeltaBuilder::build() const {
 }
 
 void DeltaBuilder::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ROPUF_REQUIRE(out.good(), "cannot open delta output file " + path);
-  const std::string bytes = build();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  ROPUF_REQUIRE(out.good(), "failed writing delta file " + path);
+  write_file_atomic(path, build());
 }
 
 // ------------------------------------------------------------ delta segment
@@ -299,7 +294,10 @@ std::vector<std::string> discover_delta_paths(const std::string& base_path) {
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
-    if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {
+    // ".tmp-" marks a write_file_atomic temp file an interrupted writer
+    // left behind; it is never part of a generation.
+    if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0 &&
+        name.find(".tmp-", prefix.size()) == std::string::npos) {
       paths.push_back((base.has_parent_path() ? dir / name : fs::path(name)).string());
     }
   }

@@ -68,7 +68,7 @@ class DeltaBuilder {
   /// Serializes every staged entry into delta-segment bytes.
   std::string build() const;
 
-  /// build() straight to a file (throws ropuf::Error on I/O failure).
+  /// build() straight to a file via write_file_atomic.
   void write_file(const std::string& path) const;
 
  private:
@@ -213,7 +213,8 @@ class EpochRegistry {
 };
 
 /// Delta files that belong to a base registry file: every `<base>.delta-*`
-/// sibling, lexicographically sorted — append order when writers zero-pad
+/// sibling except leftover write_file_atomic temp files (`.tmp-` after the
+/// prefix), lexicographically sorted — append order when writers zero-pad
 /// (the CLI's `.delta-0001` convention).
 std::vector<std::string> discover_delta_paths(const std::string& base_path);
 

@@ -1,8 +1,15 @@
 #include "registry/registry.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <unordered_set>
 
@@ -15,10 +22,8 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define ROPUF_REGISTRY_HAVE_MMAP 1
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <unistd.h>
 #endif
 
 namespace ropuf::registry {
@@ -348,12 +353,39 @@ std::string RegistryBuilder::build() const {
 }
 
 void RegistryBuilder::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ROPUF_REQUIRE(out.good(), "cannot open registry output file " + path);
-  const std::string bytes = build();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  ROPUF_REQUIRE(out.good(), "failed writing registry file " + path);
+  write_file_atomic(path, build());
+}
+
+void write_file_atomic(const std::string& path, std::string_view bytes) {
+  namespace fs = std::filesystem;
+  static std::atomic<std::uint64_t> sequence{0};
+  const fs::path target(path);
+  const fs::path dir = target.has_parent_path() ? target.parent_path() : fs::path(".");
+  // pid + sequence is unique among live writers, so an existing file by
+  // this name is a dead writer's leftover and is safe to overwrite.
+  const std::string temp =
+      (dir / ("." + target.filename().string() + ".tmp-" + std::to_string(::getpid()) +
+              "-" + std::to_string(sequence++)))
+          .string();
+  std::FILE* file = std::fopen(temp.c_str(), "wb");
+  ROPUF_REQUIRE(file != nullptr, "cannot create " + temp + ": " + std::strerror(errno));
+  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+  ok = std::fflush(file) == 0 && ok;
+  ok = ok && ::fsync(::fileno(file)) == 0;
+  ok = std::fclose(file) == 0 && ok;
+  ok = ok && std::rename(temp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    const int error = errno;
+    std::remove(temp.c_str());
+    ROPUF_REQUIRE(false, "failed writing " + path + ": " + std::strerror(error));
+  }
+  // The rename is durable once the directory entry is. Best effort: some
+  // filesystems refuse fsync on a directory, and the file is in place.
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd >= 0) {
+    ::fsync(dir_fd);
+    ::close(dir_fd);
+  }
 }
 
 // ----------------------------------------------------------------- registry

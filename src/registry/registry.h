@@ -81,6 +81,13 @@ struct RegistryStats {
   double mean_abs_margin() const;
 };
 
+/// Replaces `path` with `bytes` through a temp file in the same directory
+/// (fsync, rename, fsync of the directory): readers and crashes see the old
+/// file or the new one, and a live mmap of the old file keeps its inode.
+/// discover_delta_paths skips the `.<name>.tmp-*` temp names. Throws
+/// ropuf::Error on I/O failure.
+void write_file_atomic(const std::string& path, std::string_view bytes);
+
 /// Accumulates device records and serializes them into registry bytes.
 /// Records may be added in any order; build() sorts the index by device id.
 class RegistryBuilder {
@@ -94,7 +101,7 @@ class RegistryBuilder {
   /// Serializes every staged record into the registry byte format.
   std::string build() const;
 
-  /// build() straight to a file (throws ropuf::Error on I/O failure).
+  /// build() straight to a file via write_file_atomic.
   void write_file(const std::string& path) const;
 
  private:

@@ -47,7 +47,7 @@ RefillResult refill_tokens(std::uint64_t tokens, std::uint64_t last_refill_tick,
 }
 
 AdmissionController::AdmissionController(AdmissionOptions options)
-    : options_(options) {
+    : options_(options), states_(options.device_capacity) {
   ROPUF_REQUIRE((options_.rate_burst > 0) == (options_.rate_interval > 0),
                 "rate_burst and rate_interval enable rate limiting together "
                 "(both zero or both positive)");
@@ -102,25 +102,15 @@ void AdmissionController::record_denies(DeviceState& state) {
 
 AdmissionController::DeviceState& AdmissionController::state_for(
     std::uint64_t device_id) {
-  const auto it = index_.find(device_id);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return *it->second;
-  }
-  if (lru_.size() >= options_.device_capacity) {
-    DeviceState& victim = lru_.back();
-    record_denies(victim);
-    index_.erase(victim.device_id);
-    lru_.pop_back();
-    evictions_->add(1);
-  }
-  DeviceState state;
-  state.device_id = device_id;
-  state.tokens = options_.rate_burst;
-  state.last_refill_tick = tick_;
-  lru_.push_front(std::move(state));
-  index_[device_id] = lru_.begin();
-  return lru_.front();
+  if (DeviceState* state = states_.touch(device_id)) return *state;
+  DeviceState fresh;
+  fresh.tokens = options_.rate_burst;
+  fresh.last_refill_tick = tick_;
+  return states_.insert(device_id, std::move(fresh),
+                        [this](std::uint64_t, DeviceState& victim) {
+                          record_denies(victim);
+                          evictions_->add(1);
+                        });
 }
 
 Admission AdmissionController::admit(std::uint64_t device_id, std::uint64_t challenge,
@@ -176,12 +166,12 @@ Admission AdmissionController::admit(std::uint64_t device_id, std::uint64_t chal
 
 void AdmissionController::flush_metrics() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (DeviceState& state : lru_) record_denies(state);
+  for (auto& entry : states_) record_denies(entry.value);
 }
 
 std::size_t AdmissionController::tracked_devices() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
+  return states_.size();
 }
 
 std::uint64_t AdmissionController::ticks() const {

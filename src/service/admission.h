@@ -34,11 +34,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru.h"
 #include "obs/metrics.h"
 
 namespace ropuf::service {
@@ -147,7 +146,6 @@ class AdmissionController {
 
  private:
   struct DeviceState {
-    std::uint64_t device_id = 0;
     std::uint64_t tokens = 0;
     std::uint64_t last_refill_tick = 0;
     std::uint64_t distinct_used = 0;
@@ -171,8 +169,7 @@ class AdmissionController {
   AdmissionOptions options_;
   mutable std::mutex mutex_;
   std::uint64_t tick_ = 0;
-  std::list<DeviceState> lru_;  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::list<DeviceState>::iterator> index_;
+  BoundedLru<DeviceState> states_;
   obs::Counter* admitted_ = nullptr;
   obs::Counter* rate_limited_ = nullptr;
   obs::Counter* budget_exhausted_ = nullptr;

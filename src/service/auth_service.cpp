@@ -45,11 +45,12 @@ EnrollmentCache::EnrollmentCache(std::size_t capacity, const std::string& metric
     : capacity_(capacity) {
   // Small caches stay single-sharded so the capacity bound (and LRU order,
   // which the tests pin) is exact; serving-sized caches spread over 8 shards
-  // to keep batch workers off each other's mutex. A capacity that does not
-  // divide evenly spreads its remainder over the first shards, so the shard
-  // bounds sum to exactly the configured capacity.
+  // to keep batch workers off each other's mutex.
   shard_count_ = capacity >= 64 ? 8 : (capacity > 0 ? 1 : 0);
   if (shard_count_ > 0) shards_ = std::make_unique<Shard[]>(shard_count_);
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    shards_[s].lru = BoundedLru<Entry>(split_share(capacity, shard_count_, s));
+  }
   obs::Registry& registry = obs::Registry::instance();
   hits_ = &registry.counter(metric_prefix + "_hits");
   misses_ = &registry.counter(metric_prefix + "_misses");
@@ -62,10 +63,6 @@ std::size_t EnrollmentCache::shard_index(std::uint64_t device_id) const {
   return mix_id(device_id) % shard_count_;
 }
 
-std::size_t EnrollmentCache::shard_capacity(std::size_t s) const {
-  return capacity_ / shard_count_ + (s < capacity_ % shard_count_ ? 1 : 0);
-}
-
 EnrollmentCache::Entry EnrollmentCache::get(std::uint64_t device_id,
                                             std::uint64_t epoch) {
   if (shard_count_ == 0) {
@@ -76,46 +73,36 @@ EnrollmentCache::Entry EnrollmentCache::get(std::uint64_t device_id,
   }
   Shard& shard = shards_[shard_index(device_id)];
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.map.find(device_id);
-  if (it == shard.map.end()) {
+  const Entry* cached = shard.lru.touch(device_id);
+  if (cached == nullptr) {
     misses_->add(1);
     return nullptr;
   }
-  if (it->second->entry->epoch != epoch) {
+  if ((*cached)->epoch != epoch) {
     // Stale generation: the registry swapped under this entry. Evict it
     // eagerly — the caller re-resolves against the live snapshot and put()s
     // a fresh entry, so one swap costs each hot device one extra lookup.
-    shard.lru.erase(it->second);
-    shard.map.erase(it);
+    shard.lru.erase(device_id);
     stale_->add(1);
     misses_->add(1);
     return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_->add(1);
-  return it->second->entry;
+  return *cached;
 }
 
 void EnrollmentCache::put(std::uint64_t device_id, Entry entry) {
   if (shard_count_ == 0) return;
-  const std::size_t s = shard_index(device_id);
-  Shard& shard = shards_[s];
+  Shard& shard = shards_[shard_index(device_id)];
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.map.find(device_id);
-  if (it != shard.map.end()) {
-    it->second->entry = std::move(entry);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  if (Entry* cached = shard.lru.touch(device_id)) {
+    *cached = std::move(entry);
     return;
   }
-  // shard_capacity is >= 1 whenever a shard exists (8 shards only kick in at
-  // capacity >= 64), so evicting one entry always makes room.
-  if (shard.lru.size() >= shard_capacity(s)) {
-    shard.map.erase(shard.lru.back().id);
-    shard.lru.pop_back();
-    evictions_->add(1);
-  }
-  shard.lru.push_front(Node{device_id, std::move(entry)});
-  shard.map[device_id] = shard.lru.begin();
+  // Every shard bound is >= 1 (8 shards only kick in at capacity >= 64), so
+  // evicting one entry always makes room.
+  shard.lru.insert(device_id, std::move(entry),
+                   [this](std::uint64_t, Entry&) { evictions_->add(1); });
 }
 
 std::size_t EnrollmentCache::size() const {
@@ -164,41 +151,25 @@ AuthService::AuthService(const registry::EpochRegistry* epochs,
   ROPUF_REQUIRE(!options_.admission.enabled() ||
                     options_.admission.device_capacity >= options_.admission_shards,
                 "admission device_capacity must cover every admission shard");
-  // Device states split across slices the way the enrollment cache splits
-  // its capacity: base share per slice, remainder spread over the first
-  // slices, so the per-slice bounds sum to exactly device_capacity.
-  admission_.reserve(options_.admission_shards);
-  const std::size_t base = options_.admission.device_capacity / options_.admission_shards;
-  const std::size_t rem = options_.admission.device_capacity % options_.admission_shards;
-  for (std::size_t s = 0; s < options_.admission_shards; ++s) {
-    AdmissionOptions slice = options_.admission;
-    if (options_.admission_shards > 1) {
-      slice.device_capacity = base + (s < rem ? 1 : 0);
-    }
-    admission_.push_back(std::make_unique<AdmissionController>(slice));
-  }
-  // Detector slices mirror admission slices one-to-one (same hash routing,
-  // same capacity split), so a device's suspicion and admission state always
-  // share a slice. Disabled detectors are inert but keep the accessors safe.
   ROPUF_REQUIRE(!options_.detector.enabled ||
                     options_.detector.device_capacity >= options_.admission_shards,
                 "detector device_capacity must cover every admission shard");
-  detectors_.reserve(options_.admission_shards);
-  const std::size_t det_base =
-      options_.detector.device_capacity / options_.admission_shards;
-  const std::size_t det_rem =
-      options_.detector.device_capacity % options_.admission_shards;
-  for (std::size_t s = 0; s < options_.admission_shards; ++s) {
-    DetectorOptions slice = options_.detector;
-    if (options_.admission_shards > 1) {
-      slice.device_capacity = det_base + (s < det_rem ? 1 : 0);
-    }
-    detectors_.push_back(std::make_unique<StreamDetector>(slice));
+  // A device's admission and detector state share its slice (same hash
+  // routing), and each slice holds a split_share() of both device
+  // capacities. Disabled detectors are inert but keep the accessors safe.
+  const std::size_t shards = options_.admission_shards;
+  for (std::size_t s = 0; s < shards; ++s) {
+    AdmissionOptions admission = options_.admission;
+    admission.device_capacity = split_share(admission.device_capacity, shards, s);
+    DetectorOptions detector = options_.detector;
+    detector.device_capacity = split_share(detector.device_capacity, shards, s);
+    slices_.emplace_back(admission, detector);
   }
   ROPUF_REQUIRE(!options_.reenroll.enabled() ||
                     (options_.reenroll.device_capacity > 0 &&
                      options_.reenroll.queue_capacity > 0),
                 "re-enrollment needs nonzero device and queue capacities");
+  reenroll_.streaks = BoundedLru<std::size_t>(options_.reenroll.device_capacity);
   obs::Registry& obs = obs::Registry::instance();
   reenroll_queued_ = &obs.counter("service.reenroll_queued");
   reenroll_overflow_ = &obs.counter("service.reenroll_overflow");
@@ -206,16 +177,16 @@ AuthService::AuthService(const registry::EpochRegistry* epochs,
 }
 
 std::size_t AuthService::admission_slice_index(std::uint64_t device_id) const {
-  if (admission_.size() == 1) return 0;
-  return mix_id(device_id) % admission_.size();
+  if (slices_.size() == 1) return 0;
+  return mix_id(device_id) % slices_.size();
 }
 
 void AuthService::flush_admission_metrics() const {
-  for (const auto& slice : admission_) slice->flush_metrics();
+  for (DeviceSlice& slice : slices_) slice.admission.flush_metrics();
 }
 
 std::uint32_t AuthService::suspicion_level(std::uint64_t device_id) const {
-  return detectors_[admission_slice_index(device_id)]->level(device_id);
+  return slices_[admission_slice_index(device_id)].detector.level(device_id);
 }
 
 AuthVerdict AuthService::verify(const AuthRequest& request) const {
@@ -334,67 +305,65 @@ std::vector<AuthVerdict> AuthService::verify_batch(
   const std::shared_ptr<const registry::RegistrySnapshot> snapshot =
       epochs_->snapshot();
 
-  std::vector<AuthVerdict> verdicts;
-  if (!options_.admission.enabled()) {
-    verdicts = parallel_transform<AuthVerdict>(
-        requests.size(), options_.threads,
-        [&](std::size_t i) { return verify_pinned(*snapshot, requests[i]); },
-        options_.batch_grain);
-  } else {
-    // Admission is order-dependent per-device state, so it is decided in a
-    // *serial* pre-pass over arrival order; only the verification of the
-    // admitted remainder runs on the pool. The admitted verdicts are then
-    // exactly what an admission-free verify_batch would produce for the same
-    // subsequence — the digest-parity property the soak harness pins.
-    const bool detect = options_.detector.enabled;
-    std::vector<Admission> decisions(requests.size());
+  // Admission is order-dependent per-device state, so it is decided in a
+  // *serial* pre-pass over arrival order; only the verification of the
+  // admitted remainder runs on the pool. The admitted verdicts are then
+  // exactly what an admission-free verify_batch would produce for the same
+  // subsequence — the digest-parity property the soak harness pins. With
+  // admission off there is no pre-pass and `decisions` stays empty.
+  const bool detect = options_.detector.enabled;
+  std::vector<Admission> decisions;
+  if (options_.admission.enabled()) {
+    decisions.resize(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      const std::size_t slice = admission_slice_index(requests[i].device_id);
+      const std::uint64_t id = requests[i].device_id;
+      DeviceSlice& slice = slices_[admission_slice_index(id)];
       // The detector's escalation ladder tightens a suspicious device's
       // effective knobs at decision time; a neutral penalty reproduces the
       // static admission decision bit-for-bit.
       const AdmissionPenalty penalty =
-          detect ? detectors_[slice]->penalty(requests[i].device_id)
-                 : AdmissionPenalty{};
-      decisions[i] =
-          admission_[slice]->admit(requests[i].device_id, requests[i].challenge,
-                                   penalty);
+          detect ? slice.detector.penalty(id) : AdmissionPenalty{};
+      decisions[i] = slice.admission.admit(id, requests[i].challenge, penalty);
     }
-    verdicts = parallel_transform<AuthVerdict>(
-        requests.size(), options_.threads,
-        [&](std::size_t i) {
-          switch (decisions[i]) {
-            case Admission::kRateLimited:
-              return AuthVerdict{AuthStatus::kRateLimited, 0, options_.response_bits};
-            case Admission::kBudgetExhausted:
-              return AuthVerdict{AuthStatus::kBudgetExhausted, 0,
-                                 options_.response_bits};
-            case Admission::kAdmit:
-              break;
-          }
-          return verify_pinned(*snapshot, requests[i]);
-        },
-        options_.batch_grain);
   }
-  // Detector feedback is a serial post-pass like admission is a serial
-  // pre-pass: the batch's observations stream in arrival order, so the
-  // suspicion state (and with it the next batch's penalties) is
-  // deterministic at any thread budget — and never a verdict change.
-  if (options_.detector.enabled) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
+  std::vector<AuthVerdict> verdicts = parallel_transform<AuthVerdict>(
+      requests.size(), options_.threads,
+      [&](std::size_t i) {
+        switch (decisions.empty() ? Admission::kAdmit : decisions[i]) {
+          case Admission::kRateLimited:
+            return AuthVerdict{AuthStatus::kRateLimited, 0, options_.response_bits};
+          case Admission::kBudgetExhausted:
+            return AuthVerdict{AuthStatus::kBudgetExhausted, 0, options_.response_bits};
+          case Admission::kAdmit:
+            break;
+        }
+        return verify_pinned(*snapshot, requests[i]);
+      },
+      options_.batch_grain);
+  // Detector feedback and re-enrollment tracking are one serial post-pass,
+  // like admission is a serial pre-pass: the batch's verdicts stream in
+  // arrival order, so the suspicion state (and with it the next batch's
+  // penalties) and the re-enrollment queue are deterministic at any thread
+  // budget — and never a verdict change.
+  const bool reenroll = options_.reenroll.enabled();
+  if (!detect && !reenroll) return verdicts;
+  std::unique_lock<std::mutex> reenroll_lock;
+  if (reenroll) reenroll_lock = std::unique_lock<std::mutex>(reenroll_.mutex);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::uint64_t id = requests[i].device_id;
+    const AuthStatus status = verdicts[i].status;
+    if (detect) {
       StreamObservation observation;
       observation.challenge = requests[i].challenge;
       observation.guess_weight = requests[i].response.popcount();
-      observation.answered = verdicts[i].status == AuthStatus::kAccept ||
-                             verdicts[i].status == AuthStatus::kReject;
-      observation.accepted = verdicts[i].status == AuthStatus::kAccept;
+      observation.answered =
+          status == AuthStatus::kAccept || status == AuthStatus::kReject;
+      observation.accepted = status == AuthStatus::kAccept;
       observation.distance = verdicts[i].distance;
-      detectors_[admission_slice_index(requests[i].device_id)]->observe(
-          requests[i].device_id, observation);
+      slices_[admission_slice_index(id)].detector.observe(id, observation);
     }
+    if (reenroll) track_reenrollment(id, status);
   }
-  // Re-enrollment tracking post-pass, same contract.
-  if (options_.reenroll.enabled()) track_reenrollment(requests, verdicts);
   return verdicts;
 }
 
@@ -468,48 +437,28 @@ std::vector<AuthVerdict> AuthService::verify_proof_batch(
       options_.batch_grain);
 }
 
-void AuthService::track_reenrollment(const std::vector<AuthRequest>& requests,
-                                     const std::vector<AuthVerdict>& verdicts) const {
-  const std::lock_guard<std::mutex> lock(reenroll_.mutex);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const std::uint64_t id = requests[i].device_id;
-    const AuthStatus status = verdicts[i].status;
-    if (status == AuthStatus::kAccept) {
-      // A clean accept proves the enrollment still matches the silicon.
-      const auto it = reenroll_.streaks.find(id);
-      if (it != reenroll_.streaks.end()) {
-        reenroll_.lru.erase(it->second);
-        reenroll_.streaks.erase(it);
-      }
-      continue;
-    }
-    if (status != AuthStatus::kReject) continue;  // says nothing about drift
-    auto it = reenroll_.streaks.find(id);
-    if (it == reenroll_.streaks.end()) {
-      if (reenroll_.streaks.size() >= options_.reenroll.device_capacity) {
-        reenroll_.streaks.erase(reenroll_.lru.back().first);
-        reenroll_.lru.pop_back();
-      }
-      reenroll_.lru.emplace_front(id, 0);
-      it = reenroll_.streaks.emplace(id, reenroll_.lru.begin()).first;
-    } else {
-      reenroll_.lru.splice(reenroll_.lru.begin(), reenroll_.lru, it->second);
-    }
-    std::size_t& streak = it->second->second;
-    ++streak;
-    if (streak < options_.reenroll.fail_threshold) continue;
-    // Threshold crossed: queue once and restart the streak, so a device
-    // re-queues only after fail_threshold *new* consecutive rejects.
-    streak = 0;
-    if (reenroll_.queued.count(id) != 0) continue;
-    if (reenroll_.queue.size() >= options_.reenroll.queue_capacity) {
-      reenroll_overflow_->add(1);
-      continue;
-    }
-    reenroll_.queue.push_back(id);
-    reenroll_.queued.insert(id);
-    reenroll_queued_->add(1);
+void AuthService::track_reenrollment(std::uint64_t device_id, AuthStatus status) const {
+  if (status == AuthStatus::kAccept) {
+    // A clean accept proves the enrollment still matches the silicon.
+    reenroll_.streaks.erase(device_id);
+    return;
   }
+  if (status != AuthStatus::kReject) return;  // says nothing about drift
+  std::size_t* streak = reenroll_.streaks.touch(device_id);
+  if (streak == nullptr) streak = &reenroll_.streaks.insert(device_id, 0);
+  ++*streak;
+  if (*streak < options_.reenroll.fail_threshold) return;
+  // Threshold crossed: queue once and restart the streak, so a device
+  // re-queues only after fail_threshold *new* consecutive rejects.
+  *streak = 0;
+  if (reenroll_.queued.count(device_id) != 0) return;
+  if (reenroll_.queue.size() >= options_.reenroll.queue_capacity) {
+    reenroll_overflow_->add(1);
+    return;
+  }
+  reenroll_.queue.push_back(device_id);
+  reenroll_.queued.insert(device_id);
+  reenroll_queued_->add(1);
 }
 
 std::vector<std::uint64_t> AuthService::take_reenroll_queue() const {
@@ -544,6 +493,7 @@ std::size_t apply_reenrollments(const AuthService& service,
 }
 
 // ----------------------------------------------------------------- workload
+
 
 std::vector<AuthRequest> synthesize_workload(const registry::Registry& registry,
                                              const AuthServiceOptions& options,

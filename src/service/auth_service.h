@@ -44,18 +44,17 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <vector>
-
-#include <functional>
 #include <unordered_set>
+#include <vector>
 
 #include "auth/auth.h"
 #include "common/bitvec.h"
+#include "common/lru.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
 #include "registry/epoch.h"
@@ -197,11 +196,11 @@ struct CachedLookup {
   std::uint64_t epoch = 0;
 };
 
-/// Sharded LRU of lookup outcomes, keyed by device id. Lookups and
-/// inserts lock only one shard, so concurrent batch workers rarely collide.
-/// The total entry count never exceeds the configured capacity: a capacity
-/// that does not divide evenly by the shard count spreads its remainder over
-/// the first shards, so the per-shard bounds sum to exactly capacity().
+/// Sharded LRU of lookup outcomes, keyed by device id: one BoundedLru
+/// (common/lru.h) per shard. Lookups and inserts lock only one shard, so
+/// concurrent batch workers rarely collide. The total entry count never
+/// exceeds the configured capacity: shard bounds are split_share()s of it,
+/// so they sum to exactly capacity().
 /// Eviction is per-shard LRU, not global — a key-skewed workload can evict
 /// from its hot shard while other shards have room (the SplitMix64 shard hash
 /// makes sustained skew unlikely in practice). Hit, miss and eviction
@@ -236,20 +235,12 @@ class EnrollmentCache {
   std::size_t size() const;
 
  private:
-  struct Node {
-    std::uint64_t id = 0;
-    Entry entry;
-  };
   struct Shard {
     std::mutex mutex;
-    std::list<Node> lru;  ///< front = most recently used
-    std::unordered_map<std::uint64_t, std::list<Node>::iterator> map;
+    BoundedLru<Entry> lru;
   };
 
   std::size_t shard_index(std::uint64_t device_id) const;
-  /// Shard s's entry bound: capacity_/shard_count_, plus one for the first
-  /// capacity_%shard_count_ shards.
-  std::size_t shard_capacity(std::size_t s) const;
 
   std::size_t capacity_ = 0;
   std::size_t shard_count_ = 0;
@@ -326,19 +317,16 @@ class AuthService {
   std::vector<AuthVerdict> verify_proof_batch(
       const std::vector<ProofRequest>& requests) const;
 
-  /// The first admission slice (the only one at the default
-  /// admission_shards = 1; live counters; flush_metrics() for the
-  /// per-device deny histogram). Decides kAdmit-everything when the
-  /// configured AdmissionOptions are all-off.
-  AdmissionController& admission() const { return *admission_.front(); }
-
   /// Admission partitions (== options().admission_shards).
-  std::size_t admission_shard_count() const { return admission_.size(); }
+  std::size_t admission_shard_count() const { return slices_.size(); }
   /// The slice that owns a device's admission state: constant per device,
   /// independent of connections, reactor shards, and arrival order.
   std::size_t admission_slice_index(std::uint64_t device_id) const;
+  /// A slice's admission controller (live counters; flush_metrics() for
+  /// the per-device deny histogram). Decides kAdmit-everything when the
+  /// configured AdmissionOptions are all-off.
   AdmissionController& admission_slice(std::size_t slice) const {
-    return *admission_[slice];
+    return slices_[slice].admission;
   }
   /// Flushes every slice's per-device deny histogram (slice order).
   void flush_admission_metrics() const;
@@ -346,7 +334,7 @@ class AuthService {
   /// The stream detector owning a device's suspicion state (same slice
   /// routing as admission). Inert when options().detector.enabled is false.
   StreamDetector& detector_slice(std::size_t slice) const {
-    return *detectors_[slice];
+    return slices_[slice].detector;
   }
   /// The device's current escalation-ladder level (0 = unsuspected).
   std::uint32_t suspicion_level(std::uint64_t device_id) const;
@@ -373,10 +361,10 @@ class AuthService {
   /// The shared lookup-and-cache step behind both verify paths.
   EnrollmentCache::Entry resolve_lookup(const registry::RegistrySnapshot& snapshot,
                                         std::uint64_t device_id) const;
-  /// Serial post-pass: walks a batch's verdicts in arrival order and feeds
-  /// the re-enrollment streak tracker. Never changes a verdict.
-  void track_reenrollment(const std::vector<AuthRequest>& requests,
-                          const std::vector<AuthVerdict>& verdicts) const;
+  /// One step of the serial post-pass: feeds a verdict to the device's
+  /// re-enrollment streak. Never changes a verdict. Caller holds
+  /// reenroll_.mutex.
+  void track_reenrollment(std::uint64_t device_id, AuthStatus status) const;
 
   const registry::EpochRegistry* epochs_;
   /// Engaged by the legacy Registry* constructor; epochs_ points into it.
@@ -384,22 +372,26 @@ class AuthService {
   AuthServiceOptions options_;
   mutable EnrollmentCache cache_;
   mutable EnrollmentCache unknown_cache_;
-  /// One controller per admission slice, device-id-hash routed.
-  mutable std::vector<std::unique_ptr<AdmissionController>> admission_;
-  /// One stream detector per admission slice (detector.h): the admission
-  /// pre-pass reads penalties from it, a serial post-pass feeds it the
-  /// batch's (challenge, guess-weight, verdict-distance) observations in
-  /// arrival order. Like re-enrollment tracking it never alters a verdict.
-  mutable std::vector<std::unique_ptr<StreamDetector>> detectors_;
+  /// The per-device state of one admission slice, device-id-hash routed:
+  /// the admission pre-pass reads the detector's penalty and decides with
+  /// the controller; the serial post-pass feeds the detector the batch's
+  /// (challenge, guess-weight, verdict-distance) observations in arrival
+  /// order. Like re-enrollment tracking it never alters a verdict.
+  struct DeviceSlice {
+    DeviceSlice(const AdmissionOptions& admission_options,
+                const DetectorOptions& detector_options)
+        : admission(admission_options), detector(detector_options) {}
+    AdmissionController admission;
+    StreamDetector detector;
+  };
+  /// A deque, not a vector: the slices hold mutexes and never move.
+  mutable std::deque<DeviceSlice> slices_;
 
   /// Re-enrollment streak tracker + queue (serial post-pass state; the
   /// mutex covers concurrent verify_batch callers, e.g. server shards).
   struct ReenrollState {
     std::mutex mutex;
-    std::list<std::pair<std::uint64_t, std::size_t>> lru;  ///< front = MRU
-    std::unordered_map<std::uint64_t,
-                       std::list<std::pair<std::uint64_t, std::size_t>>::iterator>
-        streaks;
+    BoundedLru<std::size_t> streaks;           ///< consecutive rejects
     std::vector<std::uint64_t> queue;          ///< arrival order
     std::unordered_set<std::uint64_t> queued;  ///< dedup for queue
   };

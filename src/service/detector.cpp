@@ -15,7 +15,8 @@ const std::vector<double>& level_bounds() {
 
 }  // namespace
 
-StreamDetector::StreamDetector(DetectorOptions options) : options_(options) {
+StreamDetector::StreamDetector(DetectorOptions options)
+    : options_(options), states_(options.device_capacity) {
   if (options_.enabled) {
     ROPUF_REQUIRE(options_.window > 0, "detector window must be positive");
     ROPUF_REQUIRE(options_.repeat_tolerance > 0,
@@ -49,23 +50,11 @@ AdmissionPenalty StreamDetector::penalty_for_level(std::uint32_t level) {
 }
 
 StreamDetector::DeviceState& StreamDetector::state_for(std::uint64_t device_id) {
-  const auto it = index_.find(device_id);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return *it->second;
-  }
-  if (lru_.size() >= options_.device_capacity) {
-    // Evicting forgets the victim's suspicion — the standard bounded-sketch
-    // trade-off, and why device_capacity defaults fleet-sized.
-    index_.erase(lru_.back().device_id);
-    lru_.pop_back();
-    evictions_->add(1);
-  }
-  DeviceState state;
-  state.device_id = device_id;
-  lru_.push_front(std::move(state));
-  index_[device_id] = lru_.begin();
-  return lru_.front();
+  if (DeviceState* state = states_.touch(device_id)) return *state;
+  // Evicting forgets the victim's suspicion — the standard bounded-sketch
+  // trade-off, and why device_capacity defaults fleet-sized.
+  return states_.insert(device_id, DeviceState{},
+                        [this](std::uint64_t, DeviceState&) { evictions_->add(1); });
 }
 
 void StreamDetector::observe(std::uint64_t device_id,
@@ -170,10 +159,10 @@ void StreamDetector::observe(std::uint64_t device_id,
 std::uint32_t StreamDetector::level(std::uint64_t device_id) const {
   if (!options_.enabled) return 0;
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(device_id);
   // A read never promotes in the LRU: penalty lookups on the admission
   // pre-pass must not keep an otherwise-idle device resident.
-  return it == index_.end() ? 0 : it->second->level;
+  const DeviceState* state = states_.peek(device_id);
+  return state == nullptr ? 0 : state->level;
 }
 
 AdmissionPenalty StreamDetector::penalty(std::uint64_t device_id) const {
@@ -182,7 +171,7 @@ AdmissionPenalty StreamDetector::penalty(std::uint64_t device_id) const {
 
 std::size_t StreamDetector::tracked_devices() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
+  return states_.size();
 }
 
 }  // namespace ropuf::service

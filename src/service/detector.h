@@ -40,11 +40,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru.h"
 #include "obs/metrics.h"
 #include "service/admission.h"
 
@@ -140,7 +139,6 @@ class StreamDetector {
     bool accepted = false;
   };
   struct DeviceState {
-    std::uint64_t device_id = 0;
     /// Ring of the newest `window` observations.
     std::vector<WindowEntry> window;
     std::size_t window_next = 0;
@@ -160,8 +158,7 @@ class StreamDetector {
 
   DetectorOptions options_;
   mutable std::mutex mutex_;
-  std::list<DeviceState> lru_;  ///< front = most recently observed
-  std::unordered_map<std::uint64_t, std::list<DeviceState>::iterator> index_;
+  BoundedLru<DeviceState> states_;
   obs::Counter* observations_ = nullptr;
   obs::Counter* repeat_flags_ = nullptr;
   obs::Counter* low_weight_flags_ = nullptr;

@@ -487,5 +487,51 @@ TEST_F(EpochFilesTest, MissingBaseOrCorruptDeltaFailsTheWholeLoad) {
   EXPECT_THROW(load_epoch_files(base_path_), FormatError);
 }
 
+TEST_F(EpochFilesTest, RewriteKeepsALoadedRegistryOnItsOwnGeneration) {
+  // A server mmaps the base it loaded. Rewriting that path (in-place
+  // compaction, a re-mint) must not change what the loaded registry
+  // answers, and must not shrink its mapping under it: the new bytes go to
+  // a new inode. Same-size contents make an in-place overwrite invisible
+  // to any size check, so only the answers tell the generations apart.
+  const Registry loaded = Registry::load_file(base_path_);
+  const std::string old_image = enrollment_image(loaded.lookup(10));
+
+  RegistryBuilder rewritten;
+  for (std::uint64_t d = 1; d <= 3; ++d) {
+    rewritten.add(10 * d + 1, sample_enrollment(10 * d));
+  }
+  const std::uint64_t old_size = std::filesystem::file_size(base_path_);
+  rewritten.write_file(base_path_);
+  ASSERT_EQ(std::filesystem::file_size(base_path_), old_size);
+
+  EXPECT_TRUE(loaded.contains(10));
+  EXPECT_FALSE(loaded.contains(11));
+  EXPECT_EQ(enrollment_image(loaded.lookup(10)), old_image);
+
+  const Registry fresh = Registry::load_file(base_path_);
+  EXPECT_FALSE(fresh.contains(10));
+  EXPECT_TRUE(fresh.contains(11));
+  EXPECT_EQ(enrollment_image(fresh.lookup(11)), old_image);
+}
+
+TEST_F(EpochFilesTest, AtomicWritesLeaveNoTempFilesAndDiscoverySkipsLeftovers) {
+  DeltaBuilder first;
+  first.upsert(95, sample_enrollment(95));
+  first.write_file(delta_path(1));
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, 2u);  // the base and its delta, no temp left behind
+
+  // Temp files an interrupted writer left behind are never deltas, whether
+  // hidden (write_file_atomic's own names) or not.
+  std::ofstream((dir_ / ".fleet.ropufreg.delta-0002.tmp-1-0").string()) << "x";
+  std::ofstream(delta_path(3) + ".tmp-1-1") << "x";
+  EXPECT_EQ(discover_delta_paths(base_path_), std::vector<std::string>{delta_path(1)});
+  EXPECT_EQ(load_epoch_files(base_path_).deltas.size(), 1u);
+}
+
 }  // namespace
 }  // namespace ropuf::registry

@@ -549,7 +549,7 @@ TEST(AuthServiceAdmission, SingleVerifyBypassesAdmission) {
   for (const AuthRequest& request : requests) {
     EXPECT_EQ(service.verify(request).status, AuthStatus::kAccept);
   }
-  EXPECT_EQ(service.admission().ticks(), 0u);
+  EXPECT_EQ(service.admission_slice(0).ticks(), 0u);
 }
 
 // --------------------------------------------- admission sharding

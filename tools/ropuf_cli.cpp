@@ -82,6 +82,15 @@ void print_fault_report(const sil::FaultInjector& injector) {
               static_cast<unsigned long long>(c.browned_out));
 }
 
+/// A whole text file; `what` names it in the error.
+std::string read_text_file(const std::string& path, const std::string& what) {
+  std::ifstream file(path);
+  ROPUF_REQUIRE(file.good(), "cannot open " + what + " file " + path);
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
 int cmd_fleet_stats(const Args& args) {
   const std::size_t boards = static_cast<std::size_t>(args.number("boards", 20));
   sil::VtFleetSpec spec;
@@ -135,11 +144,7 @@ int cmd_enroll(const Args& args) {
 int cmd_respond(const Args& args) {
   const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed", 1));
   const std::string path = args.get("enrollment", "enrollment.ropuf");
-  std::ifstream file(path);
-  ROPUF_REQUIRE(file.good(), "cannot open enrollment file " + path);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const auto enrollment = puf::parse_enrollment(buffer.str());
+  const auto enrollment = puf::parse_enrollment(read_text_file(path, "enrollment"));
 
   const sil::OperatingPoint op{args.number("voltage", 1.20), args.number("temp", 25.0)};
   const sil::Chip chip = chip_for_seed(seed);
@@ -334,11 +339,7 @@ int cmd_dataset_stats(const Args& args) {
   // Works on any table in the CSV format — including the real VT dataset
   // converted to it — so the paper's IV.A pipeline can run on real data.
   const std::string path = args.get("dataset", "dataset.csv");
-  std::ifstream file(path);
-  ROPUF_REQUIRE(file.good(), "cannot open dataset file " + path);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const sil::MeasurementTable table = sil::from_csv(buffer.str());
+  const sil::MeasurementTable table = sil::from_csv(read_text_file(path, "dataset"));
 
   analysis::DatasetOptions opts;
   opts.distill = args.get("distill", "on") != "off";
@@ -370,11 +371,7 @@ int cmd_registry_build(const Args& args) {
     std::string path;
     while (std::getline(list, path, ',')) {
       ROPUF_REQUIRE(!path.empty(), "empty path in --enrollments list");
-      std::ifstream file(path);
-      ROPUF_REQUIRE(file.good(), "cannot open enrollment file " + path);
-      std::stringstream buffer;
-      buffer << file.rdbuf();
-      builder.add(id++, puf::parse_enrollment(buffer.str()));
+      builder.add(id++, puf::parse_enrollment(read_text_file(path, "enrollment")));
     }
     ROPUF_REQUIRE(builder.device_count() > 0, "--enrollments named no files");
     builder.write_file(out);
@@ -385,22 +382,10 @@ int cmd_registry_build(const Args& args) {
   // Minting path: fabricate and enroll a synthetic fleet on the pool.
   const registry::FleetSpec spec = fleet_spec_from_args(args);
   const std::string bytes = registry::build_fleet_registry(spec);
-  std::ofstream file(out, std::ios::binary);
-  ROPUF_REQUIRE(file.good(), "cannot open output file " + out);
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ROPUF_REQUIRE(file.good(), "failed writing " + out);
+  registry::write_file_atomic(out, bytes);
   std::printf("minted %zu devices -> %s (%zu bytes)\n", spec.devices, out.c_str(),
               bytes.size());
   return 0;
-}
-
-/// Writes registry/delta bytes with the strict error handling the other
-/// file-producing commands use.
-void write_binary_file(const std::string& path, const std::string& bytes) {
-  std::ofstream file(path, std::ios::binary);
-  ROPUF_REQUIRE(file.good(), "cannot open output file " + path);
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ROPUF_REQUIRE(file.good(), "failed writing " + path);
 }
 
 /// Strict u64 parse for the comma-separated --retire list.
@@ -481,11 +466,11 @@ int cmd_registry_compact(const Args& args) {
   const registry::RegistrySnapshot snapshot(1 + delta_count, std::move(files.base),
                                             std::move(files.deltas));
   const std::string bytes = registry::compact_snapshot(snapshot);
-  write_binary_file(out, bytes);
-  // Compacting in place retires the merged deltas — they are now folded
-  // into the base. (Re-reading them against the compacted base would be
-  // harmless anyway: re-applying a merged delta is the identity.) With
-  // --out elsewhere the original generation stays untouched.
+  registry::write_file_atomic(out, bytes);
+  // Compacting in place retires the merged deltas, only after the rename: a
+  // reload in between sees them over the compacted base, which is harmless
+  // (re-applying a merged delta is the identity). With --out elsewhere the
+  // original generation stays untouched.
   if (out == base_path) {
     for (const std::string& path : merged_paths) std::filesystem::remove(path);
   }
