@@ -42,6 +42,12 @@ const registry::Registry& fleet_registry() {
   return reg;
 }
 
+/// The single-epoch head every service in this bench verifies against.
+const registry::EpochRegistry& fleet_epochs() {
+  static const registry::EpochRegistry epochs(fleet_registry());
+  return epochs;
+}
+
 service::AuthServiceOptions service_options() {
   service::AuthServiceOptions options;
   options.response_bits = 32;
@@ -85,7 +91,6 @@ class ScopedServer {
   static net::ServerOptions sharded_options(std::size_t shards) {
     net::ServerOptions options = fast_options();
     options.shards = shards;
-    options.dispatch = net::DispatchMode::kRoundRobin;
     return options;
   }
 
@@ -157,7 +162,7 @@ void run() {
               "loopback TCP\n\n",
               fleet_registry().device_count(), workload().size());
 
-  const service::AuthService service(&fleet_registry(), service_options());
+  const service::AuthService service(&fleet_epochs(), service_options());
   const std::uint64_t offline_digest =
       service::verdict_digest(service.verify_batch(workload()));
 
@@ -207,7 +212,7 @@ void run() {
   double one_shard_rate = 0.0;
   double four_shard_rate = 0.0;
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    const service::AuthService sharded_service(&fleet_registry(), inline_service_options());
+    const service::AuthService sharded_service(&fleet_epochs(), inline_service_options());
     const ScopedServer server(&sharded_service, ScopedServer::sharded_options(shards));
     drive_many(server.port(), kScalingWindow, kScalingConnections);  // warm-up
     const auto start = std::chrono::steady_clock::now();
@@ -253,7 +258,7 @@ void run() {
 }
 
 void bm_online_round_trips(benchmark::State& state) {
-  static const service::AuthService service(&fleet_registry(), service_options());
+  static const service::AuthService service(&fleet_epochs(), service_options());
   const ScopedServer server(&service);
   const std::size_t window = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -268,7 +273,7 @@ BENCHMARK(bm_online_round_trips)->Arg(16)->Arg(128)->Unit(benchmark::kMillisecon
 /// baseline JSON as bm_online_round_trips/shards:N; the CI perf gate checks
 /// the 4-shard / 1-shard ratio when the host has the cores for it.
 void bm_online_round_trips(benchmark::State& state, std::size_t shards) {
-  const service::AuthService service(&fleet_registry(), inline_service_options());
+  const service::AuthService service(&fleet_epochs(), inline_service_options());
   const ScopedServer server(&service, ScopedServer::sharded_options(shards));
   drive_many(server.port(), kScalingWindow, kScalingConnections);  // warm-up
   for (auto _ : state) {

@@ -41,6 +41,12 @@ const registry::Registry& fleet_registry() {
   return reg;
 }
 
+/// The single-epoch head every service in this bench verifies against.
+const registry::EpochRegistry& fleet_epochs() {
+  static const registry::EpochRegistry epochs(fleet_registry());
+  return epochs;
+}
+
 service::AuthServiceOptions service_options(std::size_t threads, bool cached) {
   service::AuthServiceOptions options;
   options.response_bits = 32;
@@ -81,8 +87,8 @@ void run() {
   std::uint64_t reference_digest = 0;
   bool deterministic = true;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const service::AuthService warm(&fleet_registry(), service_options(threads, true));
-    const service::AuthService cold(&fleet_registry(), service_options(threads, false));
+    const service::AuthService warm(&fleet_epochs(), service_options(threads, true));
+    const service::AuthService cold(&fleet_epochs(), service_options(threads, false));
     // Warm-up pass fills the LRU (and surfaces first-touch costs once).
     const auto verdicts = warm.verify_batch(workload());
     const std::uint64_t digest = service::verdict_digest(verdicts);
@@ -118,7 +124,7 @@ void run() {
 
 void bm_verify_batch_warm(benchmark::State& state) {
   const service::AuthService service(
-      &fleet_registry(),
+      &fleet_epochs(),
       service_options(static_cast<std::size_t>(state.range(0)), true));
   service.verify_batch(workload());  // fill the cache outside the timing loop
   for (auto _ : state) {
@@ -131,7 +137,7 @@ BENCHMARK(bm_verify_batch_warm)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillis
 
 void bm_verify_batch_cold(benchmark::State& state) {
   const service::AuthService service(
-      &fleet_registry(),
+      &fleet_epochs(),
       service_options(static_cast<std::size_t>(state.range(0)), false));
   for (auto _ : state) {
     benchmark::DoNotOptimize(service.verify_batch(workload()));

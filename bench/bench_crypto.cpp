@@ -47,6 +47,12 @@ const registry::Registry& fleet_registry() {
   return reg;
 }
 
+/// The single-epoch head every service in this bench verifies against.
+const registry::EpochRegistry& fleet_epochs() {
+  static const registry::EpochRegistry epochs(fleet_registry());
+  return epochs;
+}
+
 service::AuthServiceOptions service_options() {
   service::AuthServiceOptions options;
   options.response_bits = 32;
@@ -217,7 +223,7 @@ void run() {
 
   // v1 CRP round trip vs the v2 challenge-response exchange, same fleet,
   // same request count, one pipelined connection each.
-  const service::AuthService service(&fleet_registry(), service_options());
+  const service::AuthService service(&fleet_epochs(), service_options());
   const std::uint64_t offline_digest = [&] {
     std::vector<service::AuthVerdict> verdicts =
         service.verify_proof_batch(reference_proofs());
@@ -330,7 +336,7 @@ void bm_fuzzy_rep(benchmark::State& state) {
 BENCHMARK(bm_fuzzy_rep);
 
 void bm_proof_verify(benchmark::State& state) {
-  static const service::AuthService service(&fleet_registry(), service_options());
+  static const service::AuthService service(&fleet_epochs(), service_options());
   static const std::vector<service::ProofRequest> proofs = reference_proofs();
   std::size_t i = 0;
   for (auto _ : state) {
@@ -341,7 +347,7 @@ void bm_proof_verify(benchmark::State& state) {
 BENCHMARK(bm_proof_verify);
 
 void bm_online_v1_round_trips(benchmark::State& state) {
-  static const service::AuthService service(&fleet_registry(), service_options());
+  static const service::AuthService service(&fleet_epochs(), service_options());
   const ScopedServer server(&service);
   drive_v1(server.port());  // warm-up
   for (auto _ : state) {
@@ -352,7 +358,7 @@ void bm_online_v1_round_trips(benchmark::State& state) {
 BENCHMARK(bm_online_v1_round_trips)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void bm_online_v2_round_trips(benchmark::State& state) {
-  static const service::AuthService service(&fleet_registry(), service_options());
+  static const service::AuthService service(&fleet_epochs(), service_options());
   const ScopedServer server(&service);
   drive_v2(server.port());  // warm-up
   for (auto _ : state) {

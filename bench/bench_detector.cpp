@@ -89,6 +89,12 @@ const registry::Registry& fleet_registry() {
   return reg;
 }
 
+/// The single-epoch head every service in this bench verifies against.
+const registry::EpochRegistry& fleet_epochs() {
+  static const registry::EpochRegistry epochs(fleet_registry());
+  return epochs;
+}
+
 service::AuthServiceOptions service_options(bool detect) {
   service::AuthServiceOptions options;
   options.response_bits = 16;
@@ -153,8 +159,8 @@ void run() {
                                                                        : "VIOLATED");
 
   // Verdict parity: detection alone (no admission) must change nothing.
-  const service::AuthService plain(&fleet_registry(), service_options(false));
-  const service::AuthService watched(&fleet_registry(), service_options(true));
+  const service::AuthService plain(&fleet_epochs(), service_options(false));
+  const service::AuthService watched(&fleet_epochs(), service_options(true));
   const bool parity = service::verdict_digest(plain.verify_batch(workload())) ==
                       service::verdict_digest(watched.verify_batch(workload()));
   std::printf("shape check (detector-on verdict digest unchanged): %s\n",
@@ -206,7 +212,7 @@ BENCHMARK(bm_penalty_lookup);
 
 void bm_verify_batch(benchmark::State& state) {
   // End-to-end: the detector's pre+post passes riding the real batch path.
-  const service::AuthService service(&fleet_registry(),
+  const service::AuthService service(&fleet_epochs(),
                                      service_options(state.range(0) != 0));
   service.verify_batch(workload());  // warm the enrollment cache
   for (auto _ : state) {

@@ -39,16 +39,6 @@ void set_nonblocking(int fd) {
                 std::string("fcntl(O_NONBLOCK): ") + std::strerror(errno));
 }
 
-bool try_set_reuseport(int fd) {
-#ifdef SO_REUSEPORT
-  const int one = 1;
-  return ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) == 0;
-#else
-  (void)fd;
-  return false;
-#endif
-}
-
 /// Global total plus the shard's own counter when per-shard metrics are on.
 void bump(obs::Counter& global, obs::Counter* per_shard) {
   global.add(1);
@@ -115,84 +105,51 @@ AuthServer::~AuthServer() {
     for (const Connection& connection : shard->connections) {
       if (connection.alive) ::close(connection.fd);
     }
-    if (shard->listen_fd >= 0) ::close(shard->listen_fd);
     if (shard->wake_read_fd >= 0) ::close(shard->wake_read_fd);
     if (shard->wake_write_fd >= 0) ::close(shard->wake_write_fd);
     for (const int fd : shard->handoff) ::close(fd);
   }
+  if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
 std::uint16_t AuthServer::bind_and_listen() {
-  ROPUF_REQUIRE(shards_[0]->listen_fd < 0, "bind_and_listen() called twice");
+  ROPUF_REQUIRE(listen_fd_ < 0, "bind_and_listen() called twice");
 
-  // Opens one listener, stores the fd in the shard (so the destructor owns
-  // it even if a later step throws), and returns the bound port.
-  const auto open_listener = [this](Shard& shard, std::uint16_t bind_port,
-                                    bool reuseport) -> std::uint16_t {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ROPUF_REQUIRE(fd >= 0, std::string("socket: ") + std::strerror(errno));
-    shard.listen_fd = fd;
+  // The fd is stored before anything else can throw, so the destructor owns
+  // it from here on.
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  ROPUF_REQUIRE(listen_fd_ >= 0, std::string("socket: ") + std::strerror(errno));
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (reuseport) {
-      ROPUF_REQUIRE(try_set_reuseport(fd),
-                    std::string("setsockopt(SO_REUSEPORT): ") + std::strerror(errno));
-    }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(options_.port);
+  ROPUF_REQUIRE(::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) == 1,
+                "bad bind address '" + options_.bind_address + "'");
+  ROPUF_REQUIRE(
+      ::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0,
+      std::string("bind ") + options_.bind_address + ":" + std::to_string(options_.port) +
+          ": " + std::strerror(errno));
+  ROPUF_REQUIRE(::listen(listen_fd_, options_.backlog) == 0,
+                std::string("listen: ") + std::strerror(errno));
+  set_nonblocking(listen_fd_);
 
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(bind_port);
-    ROPUF_REQUIRE(
-        ::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) == 1,
-        "bad bind address '" + options_.bind_address + "'");
-    ROPUF_REQUIRE(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0,
-                  std::string("bind ") + options_.bind_address + ":" +
-                      std::to_string(bind_port) + ": " + std::strerror(errno));
-    ROPUF_REQUIRE(::listen(fd, options_.backlog) == 0,
-                  std::string("listen: ") + std::strerror(errno));
-    set_nonblocking(fd);
+  sockaddr_in bound{};
+  socklen_t bound_len = sizeof(bound);
+  ROPUF_REQUIRE(
+      ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0,
+      std::string("getsockname: ") + std::strerror(errno));
+  port_ = ntohs(bound.sin_port);
 
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    ROPUF_REQUIRE(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0,
-                  std::string("getsockname: ") + std::strerror(errno));
-    return ntohs(bound.sin_port);
-  };
-
-  // Resolve the dispatch mode. A single shard always uses one plain
-  // listener with local installs (degenerate round-robin), exactly the
-  // pre-shard server. Multi-shard kAuto probes SO_REUSEPORT with a
-  // throwaway socket and falls back to round-robin handoff; an explicit
-  // kReusePort on a platform without it is a configuration error.
-  bool reuseport = false;
-  if (shards_.size() > 1 && options_.dispatch != DispatchMode::kRoundRobin) {
-    const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
-    ROPUF_REQUIRE(probe >= 0, std::string("socket: ") + std::strerror(errno));
-    reuseport = try_set_reuseport(probe);
-    ::close(probe);
-    ROPUF_REQUIRE(reuseport || options_.dispatch == DispatchMode::kAuto,
-                  "dispatch=reuseport requested but SO_REUSEPORT is unavailable");
-  }
-  dispatch_ = reuseport ? DispatchMode::kReusePort : DispatchMode::kRoundRobin;
-
-  // Shard 0 binds first and resolves an ephemeral port request; the other
-  // shards then share that port (reuseport) or that listener (round-robin).
-  port_ = open_listener(*shards_[0], options_.port, reuseport);
-  if (reuseport) {
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-      open_listener(*shards_[s], port_, true);
-    }
-  } else {
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-      int pipe_fds[2] = {-1, -1};
-      ROPUF_REQUIRE(::pipe(pipe_fds) == 0,
-                    std::string("pipe: ") + std::strerror(errno));
-      shards_[s]->wake_read_fd = pipe_fds[0];
-      shards_[s]->wake_write_fd = pipe_fds[1];
-      set_nonblocking(pipe_fds[0]);
-      set_nonblocking(pipe_fds[1]);
-    }
+  // Shards 1..N-1 receive their connections from shard 0 through a wake pipe.
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    int pipe_fds[2] = {-1, -1};
+    ROPUF_REQUIRE(::pipe(pipe_fds) == 0, std::string("pipe: ") + std::strerror(errno));
+    shards_[s]->wake_read_fd = pipe_fds[0];
+    shards_[s]->wake_write_fd = pipe_fds[1];
+    set_nonblocking(pipe_fds[0]);
+    set_nonblocking(pipe_fds[1]);
   }
   return port_;
 }
@@ -236,7 +193,7 @@ void AuthServer::accept_ready(Shard& shard) {
   static obs::Counter& handoffs =
       obs::Registry::instance().counter("net.shard_handoffs");
   while (true) {
-    const int fd = ::accept(shard.listen_fd, nullptr, nullptr);
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
@@ -245,16 +202,14 @@ void AuthServer::accept_ready(Shard& shard) {
         // listener stays readable; without a backoff the loop busy-spins at
         // full CPU until a descriptor frees up.
         backoffs.add(1);
-        shard.accept_backoff_until =
+        accept_backoff_until_ =
             std::chrono::steady_clock::now() +
             std::chrono::milliseconds(options_.accept_backoff_ms);
       }
       return;  // EAGAIN/EWOULDBLOCK or transient failure: next sweep
     }
     // A single shard is degenerate round-robin: its turn comes every time.
-    const std::size_t target = dispatch_ == DispatchMode::kReusePort
-                                   ? shard.index
-                                   : round_robin_next_++ % shards_.size();
+    const std::size_t target = round_robin_next_++ % shards_.size();
     if (target == shard.index) {
       adopt_fd(shard, fd);
       continue;
@@ -638,9 +593,9 @@ void AuthServer::run_shard(Shard& shard) {
       // was already read, flush, then leave the loop.
       draining = true;
       drain_began = std::chrono::steady_clock::now();
-      if (shard.listen_fd >= 0) {
-        ::close(shard.listen_fd);
-        shard.listen_fd = -1;
+      if (shard.index == 0 && listen_fd_ >= 0) {
+        ::close(listen_fd_);
+        listen_fd_ = -1;
       }
       // Handed-off fds never adopted would serve requests past the stop
       // request; refuse them instead. (Shard 0 stops dispatching on its own
@@ -658,9 +613,9 @@ void AuthServer::run_shard(Shard& shard) {
 
     fds.clear();
     fd_owner.clear();
-    if (!draining && shard.listen_fd >= 0 &&
-        std::chrono::steady_clock::now() >= shard.accept_backoff_until) {
-      fds.push_back(pollfd{shard.listen_fd, POLLIN, 0});
+    if (!draining && shard.index == 0 &&
+        std::chrono::steady_clock::now() >= accept_backoff_until_) {
+      fds.push_back(pollfd{listen_fd_, POLLIN, 0});
       fd_owner.push_back(kListenerSlot);
     }
     if (!draining && shard.wake_read_fd >= 0) {
@@ -716,15 +671,15 @@ void AuthServer::run_shard(Shard& shard) {
 }
 
 void AuthServer::run() {
-  ROPUF_REQUIRE(shards_[0]->listen_fd >= 0, "run() called before bind_and_listen()");
+  ROPUF_REQUIRE(listen_fd_ >= 0, "run() called before bind_and_listen()");
   if (shards_.size() == 1) {
     run_shard(*shards_[0]);
-    requests_served_ = shards_[0]->requests_served;
+    requests_served_.store(shards_[0]->requests_served, std::memory_order_relaxed);
     return;
   }
 
   // Shards 1..N-1 get their own reactor threads; the calling thread drives
-  // shard 0 (in round-robin mode, the acceptor). A shard that throws takes
+  // shard 0, the acceptor. A shard that throws takes
   // the whole server down gracefully: it requests stop so its siblings
   // drain and join, then the first exception rethrows out of run().
   std::vector<std::exception_ptr> errors(shards_.size());
@@ -748,10 +703,9 @@ void AuthServer::run() {
   }
   for (std::thread& thread : threads) thread.join();
 
-  requests_served_ = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    requests_served_ += shard->requests_served;
-  }
+  std::uint64_t served = 0;
+  for (const std::unique_ptr<Shard>& shard : shards_) served += shard->requests_served;
+  requests_served_.store(served, std::memory_order_relaxed);
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }

@@ -2,32 +2,27 @@
 // in front of service::AuthService (see docs/serving.md).
 //
 // Each shard is the PR-5 single-threaded loop, verbatim in behavior: it
-// owns its connections, read/write buffers, bounded pending queue and
-// accept backoff, and never blocks on any one socket. Sockets are
+// owns its connections, read/write buffers and bounded pending queue, and
+// never blocks on any one socket. Sockets are
 // non-blocking, reads buffer into per-connection byte streams, and complete
 // frames (net/wire.h) are decoded as they arrive. Ready requests collect
 // into a *bounded* per-shard pending queue; once per sweep the queue drains
-// through AuthService::verify_batch on the deterministic parallel pool, so
-// the verdicts a connection receives are bit-identical to an offline batch
-// over the same requests — at any thread budget and any shard count
-// (connections never migrate between shards, so each connection's request
-// stream is one shard's arrival order).
+// through AuthService::verify_batch, so the verdicts a connection receives
+// are bit-identical to an offline batch over the same requests — at any
+// thread budget and any shard count (connections never migrate between
+// shards, so each connection's request stream is one shard's arrival order).
 //
-// shards == 1 (the default) is exactly the PR-5 server: one loop, one plain
-// listener, no threads, no SO_REUSEPORT. shards > 1 spawns one reactor
-// thread per shard and distributes connections one of two ways:
-//  * kReusePort — every shard binds its own SO_REUSEPORT listener on the
-//    same address; the kernel's 4-tuple hash spreads incoming connections
-//    across the listeners with no cross-thread handoff at all.
-//  * kRoundRobin — one listener owned by shard 0, which accepts and hands
-//    each new fd to shard (next++ % shards) through a mutex-protected
-//    handoff vector plus a self-pipe wakeup. The fallback for stacks
-//    without SO_REUSEPORT, and the deterministic choice for tests.
-//  * kAuto resolves to kReusePort when the platform supports it, else
-//    kRoundRobin. bind_and_listen() reports the resolved mode.
-// Either way ALL listeners are bound and listening when bind_and_listen()
-// returns, so a port-file handshake written after it cannot race a
-// connection against a half-started server.
+// shards == 1 (the default) is one loop, one listener, no threads. shards > 1
+// spawns one reactor thread per shard. Shard 0 owns the one listener: it
+// accepts every connection and hands fd k to shard (k % shards) through a
+// mutex-protected handoff vector plus a self-pipe wakeup, so placement is
+// deterministic on every platform. The listener is bound and listening when
+// bind_and_listen() returns, so a port-file handshake written after it
+// cannot race a connection against a half-started server.
+//
+// Reactors verify inline: each shard's verify_batch runs on the shard's own
+// thread when the service's thread budget is 1 (ropuf_serve's setting),
+// leaving the shared pool to offline batches.
 //
 // Responses leave each v1 connection in request arrival order, with no
 // request ids on the wire: answer N pairs with request N, always.
@@ -104,13 +99,6 @@ class Counter;
 
 namespace ropuf::net {
 
-/// How a multi-shard server spreads incoming connections over its reactors.
-enum class DispatchMode {
-  kAuto,       ///< kReusePort when available, else kRoundRobin
-  kReusePort,  ///< per-shard SO_REUSEPORT listeners, kernel balancing
-  kRoundRobin  ///< shard 0 accepts, hands fds round-robin via self-pipe
-};
-
 struct ServerOptions {
   /// Loopback by default: exposing a verifier beyond localhost is a
   /// deployment decision the operator makes explicitly.
@@ -149,12 +137,10 @@ struct ServerOptions {
   std::size_t max_sessions = 1024;
   /// Reactor shards. 1 = the single-threaded PR-5 loop, no extra threads.
   std::size_t shards = 1;
-  /// Connection dispatch across shards; ignored when shards == 1.
-  DispatchMode dispatch = DispatchMode::kAuto;
 };
 
 /// The sharded event loop. Construction does not touch the network;
-/// bind_and_listen opens every listener and run() serves until
+/// bind_and_listen opens the listener and run() serves until
 /// request_stop(). run()'s calling thread drives shard 0 and spawns one
 /// thread per additional shard; request_stop() may be called from any
 /// thread or signal handler.
@@ -166,21 +152,16 @@ class AuthServer {
   AuthServer(const AuthServer&) = delete;
   AuthServer& operator=(const AuthServer&) = delete;
 
-  /// Binds and listens on every shard; returns the bound port (resolves
-  /// port 0 — all shards share it). Throws ropuf::Error on any socket
-  /// failure. When this returns, every listener accepts connections, so a
-  /// readiness handshake (e.g. --port-file) written afterwards is sound at
-  /// any shard count.
+  /// Binds and listens; returns the bound port (resolves port 0). Throws
+  /// ropuf::Error on any socket failure. When this returns, the listener
+  /// accepts connections, so a readiness handshake (e.g. --port-file)
+  /// written afterwards is sound at any shard count.
   std::uint16_t bind_and_listen();
 
   /// The bound port; 0 before bind_and_listen().
   std::uint16_t port() const { return port_; }
 
   std::size_t shard_count() const { return shards_.size(); }
-
-  /// The dispatch mode actually in effect (kAuto resolved); meaningful
-  /// after bind_and_listen().
-  DispatchMode dispatch() const { return dispatch_; }
 
   /// Serves until request_stop(), then drains every shard gracefully and
   /// returns.
@@ -213,8 +194,11 @@ class AuthServer {
   }
 
   /// Requests served over the server's lifetime (including degraded
-  /// answers), summed across shards. Read after run() returned.
-  std::uint64_t requests_served() const { return requests_served_; }
+  /// answers), summed across shards; run() publishes it once on return,
+  /// so a concurrent read sees 0 or the final total.
+  std::uint64_t requests_served() const {
+    return requests_served_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// One outstanding v2 challenge: what the server must remember between
@@ -261,21 +245,18 @@ class AuthServer {
   };
   /// Everything one reactor thread owns. No state in here is ever touched
   /// by another shard's thread, with one exception: the handoff vector
-  /// (mutex-protected) and its wake pipe, which round-robin dispatch uses
-  /// to pass freshly accepted fds from shard 0 to their owner.
+  /// (mutex-protected) and its wake pipe, through which shard 0 passes
+  /// freshly accepted fds to their owner.
   struct Shard {
     std::size_t index = 0;
-    int listen_fd = -1;  ///< own listener; -1 for round-robin shards > 0
     std::size_t max_connections = 0;  ///< this shard's share of the cap
     std::vector<Connection> connections;
     std::deque<PendingEntry> pending;
     /// Unverified entries in pending (the max_pending backpressure bound
     /// counts verification work, not pre-resolved answers riding along).
     std::size_t pending_unresolved = 0;
-    /// Listener poll resumes after this instant (accept_backoff_ms).
-    std::chrono::steady_clock::time_point accept_backoff_until{};
     std::uint64_t requests_served = 0;
-    /// Round-robin handoff: shard 0 deposits accepted fds under the mutex
+    /// Handoff: shard 0 deposits accepted fds under the mutex
     /// and writes one byte to the pipe so the owner's poll() wakes now
     /// rather than at the next timeout.
     std::mutex handoff_mutex;
@@ -285,9 +266,8 @@ class AuthServer {
     ShardMetrics metrics;
   };
 
-  /// Accepts on `shard`'s listener. Reuseport mode installs locally; in
-  /// round-robin mode (shard 0 is the only listener) each fd goes to the
-  /// next shard in rotation, installed locally when it is its own turn.
+  /// Shard 0 only: accepts on the listener and deals each fd to the next
+  /// shard in rotation, installing it locally when it is its own turn.
   void accept_ready(Shard& shard);
   /// Installs one accepted fd into a connection slot, enforcing the
   /// shard's connection share.
@@ -322,15 +302,18 @@ class AuthServer {
   ServerOptions options_;
   /// v2 challenge nonces; thread-safe, shared by all shards.
   auth::NonceFactory nonce_factory_;
-  DispatchMode dispatch_ = DispatchMode::kAuto;  ///< resolved by bind_and_listen
   std::vector<std::unique_ptr<Shard>> shards_;
+  int listen_fd_ = -1;  ///< polled and closed by shard 0's thread only
+  /// Shard 0 resumes polling the listener after this instant
+  /// (accept_backoff_ms).
+  std::chrono::steady_clock::time_point accept_backoff_until_{};
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> reload_requested_{0};
   std::atomic<std::uint64_t> reloads_applied_{0};
   std::function<void()> reload_handler_;  ///< set before run(), shard 0 runs it
   std::size_t round_robin_next_ = 0;  ///< only shard 0's thread touches this
-  std::uint64_t requests_served_ = 0;
+  std::atomic<std::uint64_t> requests_served_{0};
 };
 
 }  // namespace ropuf::net

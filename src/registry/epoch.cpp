@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "common/error.h"
@@ -13,14 +12,6 @@ namespace ropuf::registry {
 namespace {
 
 constexpr char kDeltaMagic[8] = {'R', 'O', 'P', 'U', 'F', 'D', 'L', 'T'};
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-std::string read_whole_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  ROPUF_REQUIRE(in.good(), "cannot open delta file " + path);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
 
 }  // namespace
 
@@ -77,17 +68,26 @@ void DeltaBuilder::write_file(const std::string& path) const {
 // ------------------------------------------------------------ delta segment
 
 DeltaSegment DeltaSegment::from_bytes(std::string bytes) {
-  static obs::Counter& loads =
-      obs::Registry::instance().counter("registry.delta_loads");
-
   auto owned = std::make_shared<const std::string>(std::move(bytes));
   const std::string_view view(*owned);
+  return adopt(std::move(owned), view);
+}
+
+DeltaSegment DeltaSegment::load_file(const std::string& path) {
+  FileBytes file = load_file_bytes(path);
+  return adopt(std::move(file.owner), file.view);
+}
+
+DeltaSegment DeltaSegment::adopt(std::shared_ptr<const void> owner,
+                                 std::string_view view) {
+  static obs::Counter& loads =
+      obs::Registry::instance().counter("registry.delta_loads");
   const SectionGeometry geometry =
       validate_sections(view, std::string_view(kDeltaMagic, sizeof(kDeltaMagic)),
                         kDeltaFormatVersion, /*allow_tombstones=*/true);
 
   DeltaSegment segment;
-  segment.owner_ = std::move(owned);
+  segment.owner_ = std::move(owner);
   segment.bytes_ = view;
   segment.entry_count_ = geometry.device_count;
   segment.index_offset_ = geometry.index_offset;
@@ -97,10 +97,6 @@ DeltaSegment DeltaSegment::from_bytes(std::string bytes) {
   }
   loads.add(1);
   return segment;
-}
-
-DeltaSegment DeltaSegment::load_file(const std::string& path) {
-  return from_bytes(read_whole_file(path));
 }
 
 std::size_t DeltaSegment::index_entry_offset(std::size_t i) const {
@@ -129,21 +125,9 @@ puf::ConfigurableEnrollment DeltaSegment::enrollment_at(std::size_t i) const {
 DeltaSegment::Hit DeltaSegment::find(
     std::uint64_t device_id,
     std::optional<puf::ConfigurableEnrollment>* enrollment) const {
-  std::size_t lo = 0, hi = entry_count_, position = kNpos;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t mid_id = read_u64_at(bytes_, index_entry_offset(mid));
-    if (mid_id == device_id) {
-      position = mid;
-      break;
-    }
-    if (mid_id < device_id) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (position == kNpos) return Hit::kMiss;
+  const std::size_t position =
+      find_index_position(bytes_, index_offset_, entry_count_, device_id);
+  if (position == kIndexNpos) return Hit::kMiss;
   if (tombstone_at(position)) return Hit::kTombstone;
   if (enrollment != nullptr) *enrollment = enrollment_at(position);
   return Hit::kUpsert;

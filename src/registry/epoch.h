@@ -96,7 +96,8 @@ class DeltaSegment {
   /// the specific Defect) on any structural problem.
   static DeltaSegment from_bytes(std::string bytes);
 
-  /// Reads and validates a delta file exactly like from_bytes.
+  /// Loads a delta file through load_file_bytes (mmap-or-read) and
+  /// validates it exactly like from_bytes.
   static DeltaSegment load_file(const std::string& path);
 
   std::size_t entry_count() const { return entry_count_; }
@@ -119,9 +120,11 @@ class DeltaSegment {
 
  private:
   DeltaSegment() = default;
+  /// Shared validation behind from_bytes and load_file.
+  static DeltaSegment adopt(std::shared_ptr<const void> owner, std::string_view bytes);
   std::size_t index_entry_offset(std::size_t i) const;
 
-  std::shared_ptr<const std::string> owner_;  ///< keeps the buffer alive
+  std::shared_ptr<const void> owner_;  ///< keeps the mapping/buffer alive
   std::string_view bytes_;
   std::size_t entry_count_ = 0;
   std::size_t tombstone_count_ = 0;

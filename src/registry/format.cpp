@@ -115,6 +115,22 @@ std::uint64_t read_u64_at(std::string_view bytes, std::size_t offset) {
   return v;
 }
 
+std::size_t find_index_position(std::string_view bytes, std::size_t index_offset,
+                                std::size_t count, std::uint64_t device_id) {
+  std::size_t lo = 0, hi = count;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const std::uint64_t mid_id = read_u64_at(bytes, index_offset + mid * kIndexEntryBytes);
+    if (mid_id == device_id) return mid;
+    if (mid_id < device_id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return kIndexNpos;
+}
+
 SectionGeometry validate_sections(std::string_view view, std::string_view magic,
                                   std::uint32_t version, bool allow_tombstones) {
   const std::string magic_name(magic);

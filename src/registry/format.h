@@ -95,6 +95,15 @@ inline constexpr std::size_t kIndexEntryBytes = 24;
 /// after validate_sections proved the geometry).
 std::uint64_t read_u64_at(std::string_view bytes, std::size_t offset);
 
+/// find_index_position's not-found answer.
+inline constexpr std::size_t kIndexNpos = static_cast<std::size_t>(-1);
+
+/// Binary search over a validated index of `count` entries at
+/// `index_offset` (ids strictly ascending): the position of `device_id`,
+/// or kIndexNpos.
+std::size_t find_index_position(std::string_view bytes, std::size_t index_offset,
+                                std::size_t count, std::uint64_t device_id);
+
 /// The validated section geometry of an image (offsets relative to byte 0).
 struct SectionGeometry {
   std::uint64_t device_count = 0;

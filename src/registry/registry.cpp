@@ -44,7 +44,6 @@ namespace {
 // records section. See docs/registry.md for the record payload layout.
 
 constexpr char kMagic[8] = {'R', 'O', 'P', 'U', 'F', 'R', 'E', 'G'};
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 // Record flags (the u16 at payload offset 2, reserved-as-zero in v1).
 // Unknown bits are a kBadRecord defect so future flags cannot be silently
@@ -396,14 +395,14 @@ Registry Registry::from_bytes(std::string bytes) {
   return adopt(owned, view);
 }
 
-Registry Registry::load_file(const std::string& path) {
+FileBytes load_file_bytes(const std::string& path) {
 #if ROPUF_REGISTRY_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  ROPUF_REQUIRE(fd >= 0, "cannot open registry file " + path);
+  ROPUF_REQUIRE(fd >= 0, "cannot open " + path);
   struct stat st{};
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
-    throw Error("cannot stat registry file " + path);
+    throw Error("cannot stat " + path);
   }
   const auto size = static_cast<std::size_t>(st.st_size);
   if (size > 0) {
@@ -413,8 +412,7 @@ Registry Registry::load_file(const std::string& path) {
       std::shared_ptr<const void> owner(addr, [size](const void* p) {
         ::munmap(const_cast<void*>(p), size);
       });
-      return adopt(std::move(owner),
-                   std::string_view(static_cast<const char*>(addr), size));
+      return {std::move(owner), std::string_view(static_cast<const char*>(addr), size)};
     }
     // fall through to the read path (e.g. filesystems without mmap support)
   } else {
@@ -422,10 +420,16 @@ Registry Registry::load_file(const std::string& path) {
   }
 #endif
   std::ifstream in(path, std::ios::binary);
-  ROPUF_REQUIRE(in.good(), "cannot open registry file " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return from_bytes(std::move(bytes));
+  ROPUF_REQUIRE(in.good(), "cannot open " + path);
+  auto owned = std::make_shared<const std::string>(std::istreambuf_iterator<char>(in),
+                                                   std::istreambuf_iterator<char>());
+  const std::string_view view(*owned);
+  return {std::move(owned), view};
+}
+
+Registry Registry::load_file(const std::string& path) {
+  FileBytes file = load_file_bytes(path);
+  return adopt(std::move(file.owner), file.view);
 }
 
 Registry Registry::adopt(std::shared_ptr<const void> owner, std::string_view view) {
@@ -444,7 +448,6 @@ Registry Registry::adopt(std::shared_ptr<const void> owner, std::string_view vie
   registry.device_count_ = geometry.device_count;
   registry.index_offset_ = geometry.index_offset;
   registry.records_offset_ = geometry.records_offset;
-  registry.records_size_ = geometry.records_size;
   loads.add(1);
   return registry;
 }
@@ -459,22 +462,11 @@ std::uint64_t Registry::device_id_at(std::size_t i) const {
 }
 
 std::size_t Registry::index_position(std::uint64_t device_id) const {
-  std::size_t lo = 0, hi = device_count_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t mid_id = read_u64_at(bytes_, index_entry_offset(mid));
-    if (mid_id == device_id) return mid;
-    if (mid_id < device_id) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return kNpos;
+  return find_index_position(bytes_, index_offset_, device_count_, device_id);
 }
 
 bool Registry::contains(std::uint64_t device_id) const {
-  return index_position(device_id) != kNpos;
+  return index_position(device_id) != kIndexNpos;
 }
 
 std::optional<puf::ConfigurableEnrollment> Registry::find(
@@ -482,7 +474,7 @@ std::optional<puf::ConfigurableEnrollment> Registry::find(
   static obs::Counter& lookups = obs::Registry::instance().counter("registry.lookups");
   lookups.add(1);
   const std::size_t position = index_position(device_id);
-  if (position == kNpos) return std::nullopt;
+  if (position == kIndexNpos) return std::nullopt;
   const std::size_t entry = index_entry_offset(position);
   const std::uint64_t offset = read_u64_at(bytes_, entry + 8);
   const std::uint64_t size = read_u64_at(bytes_, entry + 16);

@@ -88,6 +88,18 @@ struct RegistryStats {
 /// ropuf::Error on I/O failure.
 void write_file_atomic(const std::string& path, std::string_view bytes);
 
+/// A loaded file's bytes plus the owner that keeps them alive.
+struct FileBytes {
+  std::shared_ptr<const void> owner;
+  std::string_view view;
+};
+
+/// The one file loader behind Registry::load_file and DeltaSegment::load_file:
+/// maps the file read-only where the platform supports it, reads it into
+/// memory otherwise. A mapping stays valid across later rewrites because
+/// write_file_atomic replaces files by rename, which keeps the old inode.
+FileBytes load_file_bytes(const std::string& path);
+
 /// Accumulates device records and serializes them into registry bytes.
 /// Records may be added in any order; build() sorts the index by device id.
 class RegistryBuilder {
@@ -155,7 +167,6 @@ class Registry {
   std::size_t device_count_ = 0;
   std::size_t index_offset_ = 0;
   std::size_t records_offset_ = 0;
-  std::size_t records_size_ = 0;
 };
 
 /// Knobs of the bulk fleet importer: devices are minted through sil::Fab

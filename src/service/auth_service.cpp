@@ -116,28 +116,6 @@ std::size_t EnrollmentCache::size() const {
 
 // ------------------------------------------------------------------ service
 
-namespace {
-
-/// Single-epoch head for the legacy Registry* constructor; the copy shares
-/// the registry's backing bytes, so this is cheap and the caller's lifetime
-/// contract is unchanged.
-std::unique_ptr<registry::EpochRegistry> owned_head(
-    const registry::Registry* registry) {
-  ROPUF_REQUIRE(registry != nullptr, "null registry");
-  return std::make_unique<registry::EpochRegistry>(*registry);
-}
-
-}  // namespace
-
-AuthService::AuthService(const registry::Registry* registry, AuthServiceOptions options)
-    : AuthService(owned_head(registry), options) {}
-
-AuthService::AuthService(std::unique_ptr<registry::EpochRegistry> owned,
-                         AuthServiceOptions options)
-    : AuthService(static_cast<const registry::EpochRegistry*>(owned.get()), options) {
-  owned_epochs_ = std::move(owned);
-}
-
 AuthService::AuthService(const registry::EpochRegistry* epochs,
                          AuthServiceOptions options)
     : epochs_(epochs),

@@ -261,16 +261,13 @@ class EnrollmentCache {
 /// snapshot for the whole batch, so a mid-batch epoch swap cannot split a
 /// batch across generations — its verdicts are bit-stable against the epoch
 /// it was admitted under, the invariant the swap-under-traffic tests pin.
-/// The legacy Registry* constructor wraps the registry in an owned
-/// single-epoch head, so code that never swaps is unchanged.
+/// Code that never swaps wraps its registry in a single-epoch head:
+/// `registry::EpochRegistry epochs(registry);` (the copy shares the
+/// registry's backing bytes).
 class AuthService {
  public:
-  /// `registry` must outlive the service. Serves a private epoch head
-  /// pinned at epoch 1 (copies share the registry's backing bytes).
-  AuthService(const registry::Registry* registry, AuthServiceOptions options);
-
-  /// Live-lifecycle form: `epochs` must outlive the service; swaps
-  /// published on it are picked up at the next verify/verify_batch.
+  /// `epochs` must outlive the service; swaps published on it are picked
+  /// up at the next verify/verify_batch.
   AuthService(const registry::EpochRegistry* epochs, AuthServiceOptions options);
 
   const AuthServiceOptions& options() const { return options_; }
@@ -347,11 +344,6 @@ class AuthService {
   std::size_t reenroll_backlog() const;
 
  private:
-  /// Target of the legacy Registry* constructor's delegation: adopts the
-  /// owned single-epoch head after the main constructor ran.
-  AuthService(std::unique_ptr<registry::EpochRegistry> owned,
-              AuthServiceOptions options);
-
   /// verify() against an explicitly pinned snapshot — the batch hot path.
   AuthVerdict verify_pinned(const registry::RegistrySnapshot& snapshot,
                             const AuthRequest& request) const;
@@ -367,8 +359,6 @@ class AuthService {
   void track_reenrollment(std::uint64_t device_id, AuthStatus status) const;
 
   const registry::EpochRegistry* epochs_;
-  /// Engaged by the legacy Registry* constructor; epochs_ points into it.
-  std::unique_ptr<registry::EpochRegistry> owned_epochs_;
   AuthServiceOptions options_;
   mutable EnrollmentCache cache_;
   mutable EnrollmentCache unknown_cache_;

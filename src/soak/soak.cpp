@@ -64,7 +64,8 @@ SoakReport run_soak(const SoakOptions& options) {
   }
   const registry::Registry reg = registry::Registry::from_bytes(builder.build());
 
-  const service::AuthService svc(&reg, options.service);
+  const registry::EpochRegistry epochs(reg);
+  const service::AuthService svc(&epochs, options.service);
   net::ServerOptions server_options = options.server;
   net::AuthServer server(&svc, server_options);
   const std::uint16_t port = server.bind_and_listen();
@@ -342,7 +343,7 @@ SoakReport run_soak(const SoakOptions& options) {
       service::AuthServiceOptions offline_options = options.service;
       offline_options.admission = service::AdmissionOptions{};
       offline_options.threads = ThreadBudget(budget);
-      const service::AuthService offline(&reg, offline_options);
+      const service::AuthService offline(&epochs, offline_options);
       const std::uint64_t digest = service::verdict_digest(
           v2 ? offline.verify_proof_batch(admitted_proofs)
              : offline.verify_batch(admitted_requests));

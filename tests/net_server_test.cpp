@@ -55,7 +55,8 @@ class ServerHarness {
   explicit ServerHarness(net::ServerOptions options = {},
                          service::AuthServiceOptions auth_options = {})
       : registry_(small_registry()),
-        service_(&registry_, auth_options),
+        epochs_(registry_),
+        service_(&epochs_, auth_options),
         server_(&service_, fast(options)) {
     port_ = server_.bind_and_listen();
     thread_ = std::thread([this] { server_.run(); });
@@ -87,6 +88,7 @@ class ServerHarness {
   }
 
   registry::Registry registry_;
+  registry::EpochRegistry epochs_;
   service::AuthService service_;
   net::AuthServer server_;
   std::uint16_t port_ = 0;
@@ -103,7 +105,8 @@ TEST(AuthServer, RoundTripMatchesOfflineBatchAtEveryThreadBudget) {
     net::AuthClient client = harness.client();
     const std::vector<net::WireResponse> responses = client.send_batch(requests);
 
-    const service::AuthService offline(&harness.registry(), auth_options);
+    const registry::EpochRegistry epochs(harness.registry());
+    const service::AuthService offline(&epochs, auth_options);
     const std::vector<service::AuthVerdict> expected = offline.verify_batch(requests);
 
     ASSERT_EQ(responses.size(), expected.size()) << "threads=" << threads;
@@ -174,7 +177,8 @@ TEST(AuthServer, OverloadAnswersDoNotJumpAheadOfEarlierVerdicts) {
   net::AuthClient client = harness.client();
   client.send_raw(blob);
 
-  const service::AuthService offline(&harness.registry(), {});
+  const registry::EpochRegistry epochs(harness.registry());
+  const service::AuthService offline(&epochs, {});
   const std::vector<service::AuthVerdict> expected = offline.verify_batch(requests);
   std::size_t overloaded = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -230,7 +234,8 @@ TEST(AuthServer, PerSweepReadCapStillAnswersEverything) {
   net::AuthClient client = harness.client();
   client.send_raw(blob);
 
-  const service::AuthService offline(&harness.registry(), {});
+  const registry::EpochRegistry epochs(harness.registry());
+  const service::AuthService offline(&epochs, {});
   const std::vector<service::AuthVerdict> expected = offline.verify_batch(requests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const service::AuthVerdict verdict = net::auth_verdict(client.recv_response());
@@ -363,7 +368,8 @@ TEST(AuthServer, RejectsDegenerateOptionsEagerly) {
   // A zero/negative bound would produce a wedged or spinning loop at
   // runtime; construction must fail instead.
   const registry::Registry registry = small_registry(2);
-  const service::AuthService service(&registry, {});
+  const registry::EpochRegistry epochs(registry);
+  const service::AuthService service(&epochs, {});
 
   const auto rejects = [&](auto mutate) {
     net::ServerOptions options;
@@ -419,7 +425,8 @@ TEST(AuthServer, RateLimitedAnswersKeepArrivalOrder) {
   net::AuthClient client = harness.client();
   client.send_raw(blob);
 
-  const service::AuthService offline(&harness.registry(), {});
+  const registry::EpochRegistry epochs(harness.registry());
+  const service::AuthService offline(&epochs, {});
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const net::WireResponse response = client.recv_response();
     if (i < 2) {

@@ -3,8 +3,7 @@
 // matrix, deterministic round-robin connection placement with per-shard
 // counters, admission decisions that stick to the device (not the reactor
 // shard a connection landed on), graceful drain answering in-flight
-// requests on every shard, and the SO_REUSEPORT listener path where the
-// platform provides it.
+// requests on every shard.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -69,7 +68,8 @@ class ShardHarness {
   explicit ShardHarness(net::ServerOptions options,
                         service::AuthServiceOptions auth_options = {})
       : registry_(small_registry()),
-        service_(&registry_, auth_options),
+        epochs_(registry_),
+        service_(&epochs_, auth_options),
         server_(&service_, fast(options)) {
     port_ = server_.bind_and_listen();
     thread_ = std::thread([this] { server_.run(); });
@@ -100,23 +100,23 @@ class ShardHarness {
   }
 
   registry::Registry registry_;
+  registry::EpochRegistry epochs_;
   service::AuthService service_;
   net::AuthServer server_;
   std::uint16_t port_ = 0;
   std::thread thread_;
 };
 
-net::ServerOptions sharded(std::size_t shards,
-                           net::DispatchMode dispatch = net::DispatchMode::kRoundRobin) {
+net::ServerOptions sharded(std::size_t shards) {
   net::ServerOptions options;
   options.shards = shards;
-  options.dispatch = dispatch;
   return options;
 }
 
 TEST(ShardedAuthServer, RejectsBadShardConfigurations) {
   const registry::Registry reg = small_registry();
-  const service::AuthService svc(&reg, {});
+  const registry::EpochRegistry epochs(reg);
+  const service::AuthService svc(&epochs, {});
 
   net::ServerOptions zero;
   zero.shards = 0;
@@ -138,7 +138,8 @@ TEST(ShardedAuthServer, DigestParityAcrossShardAndThreadMatrix) {
   // which shard answered it.
   const service::AuthServiceOptions auth_options;
   const registry::Registry offline_registry = small_registry();
-  const service::AuthService offline(&offline_registry, auth_options);
+  const registry::EpochRegistry epochs(offline_registry);
+  const service::AuthService offline(&epochs, auth_options);
 
   for (const std::size_t shards : {1u, 2u, 4u}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -185,9 +186,8 @@ TEST(ShardedAuthServer, RoundRobinPlacesConnectionsAcrossShardsInOrder) {
   const std::uint64_t before0 = shard0.value();
   const std::uint64_t before1 = shard1.value();
 
-  ShardHarness harness(sharded(2, net::DispatchMode::kRoundRobin));
+  ShardHarness harness(sharded(2));
   EXPECT_EQ(harness.server().shard_count(), 2u);
-  EXPECT_EQ(harness.server().dispatch(), net::DispatchMode::kRoundRobin);
 
   const auto requests = small_workload(harness.registry(), {}, 8);
   // Connect and exchange one round sequentially so every accept is adopted
@@ -213,7 +213,7 @@ TEST(ShardedAuthServer, AdmissionSticksToTheDeviceNotTheReactorShard) {
   auth_options.admission.rate_burst = 2;
   auth_options.admission.rate_interval = 1u << 20;
   auth_options.admission_shards = 2;
-  ShardHarness harness(sharded(2, net::DispatchMode::kRoundRobin), auth_options);
+  ShardHarness harness(sharded(2), auth_options);
 
   std::vector<service::AuthRequest> first_conn;
   std::vector<service::AuthRequest> second_conn;
@@ -249,7 +249,7 @@ TEST(ShardedAuthServer, GracefulDrainAnswersInFlightRequestsOnEveryShard) {
   obs::Registry& registry = obs::Registry::instance();
   obs::Counter& enqueued = registry.counter("net.requests_enqueued");
 
-  ShardHarness harness(sharded(2, net::DispatchMode::kRoundRobin));
+  ShardHarness harness(sharded(2));
   const auto requests = small_workload(harness.registry(), {}, 32);
 
   net::AuthClient a = harness.client();
@@ -276,40 +276,6 @@ TEST(ShardedAuthServer, GracefulDrainAnswersInFlightRequestsOnEveryShard) {
   EXPECT_EQ(a.recv_until_close(), 8u);
   EXPECT_EQ(b.recv_until_close(), 8u);
   obs::set_metrics_enabled(false);
-}
-
-TEST(ShardedAuthServer, ReusePortModeServesWhenThePlatformHasIt) {
-  // kAuto resolves to SO_REUSEPORT listeners where the platform supports
-  // them (Linux does); otherwise it must fall back to round-robin and still
-  // serve. Either way the verdicts stay parity-equal to offline.
-  const service::AuthServiceOptions auth_options;
-  ShardHarness harness(sharded(2, net::DispatchMode::kAuto), auth_options);
-#ifdef SO_REUSEPORT
-  EXPECT_EQ(harness.server().dispatch(), net::DispatchMode::kReusePort);
-#else
-  EXPECT_EQ(harness.server().dispatch(), net::DispatchMode::kRoundRobin);
-#endif
-
-  const auto requests = small_workload(harness.registry(), auth_options, 48);
-  const registry::Registry offline_registry = small_registry();
-  const service::AuthService offline(&offline_registry, auth_options);
-  const auto expected = offline.verify_batch(requests);
-
-  // Two sequential connections: kernel reuseport hashing decides the shard,
-  // so the test asserts parity (which must hold on any placement), not
-  // placement itself.
-  std::vector<service::AuthVerdict> online;
-  net::AuthClient first = harness.client();
-  for (const net::WireResponse& response :
-       first.send_batch({requests.begin(), requests.begin() + 24})) {
-    online.push_back(net::auth_verdict(response));
-  }
-  net::AuthClient second = harness.client();
-  for (const net::WireResponse& response :
-       second.send_batch({requests.begin() + 24, requests.end()})) {
-    online.push_back(net::auth_verdict(response));
-  }
-  EXPECT_EQ(service::verdict_digest(online), service::verdict_digest(expected));
 }
 
 }  // namespace

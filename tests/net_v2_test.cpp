@@ -48,7 +48,8 @@ class ServerHarness {
   explicit ServerHarness(net::ServerOptions options = {},
                          service::AuthServiceOptions auth_options = {})
       : registry_(small_registry()),
-        service_(&registry_, auth_options),
+        epochs_(registry_),
+        service_(&epochs_, auth_options),
         server_(&service_, fast(options)) {
     port_ = server_.bind_and_listen();
     thread_ = std::thread([this] { server_.run(); });
@@ -79,6 +80,7 @@ class ServerHarness {
   }
 
   registry::Registry registry_;
+  registry::EpochRegistry epochs_;
   service::AuthService service_;
   net::AuthServer server_;
   std::uint16_t port_ = 0;
@@ -491,7 +493,6 @@ TEST(NetV2, ProofBatchMatchesOfflineAtEveryShardCountAndThreadBudget) {
       set_thread_budget_override(threads);
       net::ServerOptions options;
       options.shards = shards;
-      options.dispatch = net::DispatchMode::kRoundRobin;
       ServerHarness harness(options, auth_options);
       const std::vector<service::ProofIntent> intents =
           service::synthesize_proof_workload(harness.registry(), spec);
@@ -519,7 +520,8 @@ TEST(NetV2, ProofBatchMatchesOfflineAtEveryShardCountAndThreadBudget) {
         }
         reference.push_back(request);
       }
-      const service::AuthService offline(&harness.registry(), auth_options);
+      const registry::EpochRegistry epochs(harness.registry());
+      const service::AuthService offline(&epochs, auth_options);
       const std::vector<service::AuthVerdict> expected =
           offline.verify_proof_batch(reference);
 

@@ -445,7 +445,8 @@ TEST(AuthServiceAdmission, DeniedVerdictsCarryTheAdmissionStatus) {
   options.response_bits = 8;
   options.admission.rate_burst = 2;
   options.admission.rate_interval = 1000;  // effectively no refill in-test
-  const AuthService service(&registry, options);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, options);
 
   const auto requests = true_requests(registry, options, 4);
   const std::vector<AuthVerdict> verdicts = service.verify_batch(requests);
@@ -486,7 +487,8 @@ TEST(AuthServiceAdmission, AdmittedSubsequenceMatchesAdmissionFreeBatch) {
                      return a.device_id < b.device_id;
                    });
 
-  const AuthService service(&registry, defended);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, defended);
   const std::vector<AuthVerdict> verdicts = service.verify_batch(requests);
 
   std::vector<AuthRequest> admitted_requests;
@@ -506,7 +508,7 @@ TEST(AuthServiceAdmission, AdmittedSubsequenceMatchesAdmissionFreeBatch) {
   open.admission = AdmissionOptions{};
   for (const std::size_t threads : {1u, 2u, 8u}) {
     set_thread_budget_override(threads);
-    const AuthService offline(&registry, open);
+    const AuthService offline(&epochs, open);
     EXPECT_EQ(service::verdict_digest(offline.verify_batch(admitted_requests)),
               service::verdict_digest(admitted_verdicts))
         << "threads=" << threads;
@@ -528,7 +530,8 @@ TEST(AuthServiceAdmission, BatchDecisionsAreThreadBudgetInvariant) {
   std::vector<std::uint64_t> reference_digest;
   for (const std::size_t threads : {1u, 4u}) {
     set_thread_budget_override(threads);
-    const AuthService service(&registry, options);
+    const registry::EpochRegistry epochs(registry);
+    const AuthService service(&epochs, options);
     reference_digest.push_back(
         service::verdict_digest(service.verify_batch(requests)));
   }
@@ -543,7 +546,8 @@ TEST(AuthServiceAdmission, SingleVerifyBypassesAdmission) {
   AuthServiceOptions options;
   options.response_bits = 8;
   options.admission.crp_budget = 1;
-  const AuthService service(&registry, options);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, options);
 
   const auto requests = true_requests(registry, options, 3);
   for (const AuthRequest& request : requests) {
@@ -559,7 +563,8 @@ TEST(AuthServiceAdmission, ShardedOptionsValidate) {
 
   AuthServiceOptions zero;
   zero.admission_shards = 0;
-  EXPECT_THROW(AuthService(&registry, zero), Error);
+  const registry::EpochRegistry epochs(registry);
+  EXPECT_THROW(AuthService(&epochs, zero), Error);
 
   // Enabled admission needs at least one device-state slot per slice.
   AuthServiceOptions starved;
@@ -567,12 +572,12 @@ TEST(AuthServiceAdmission, ShardedOptionsValidate) {
   starved.admission.rate_interval = 4;
   starved.admission.device_capacity = 3;
   starved.admission_shards = 4;
-  EXPECT_THROW(AuthService(&registry, starved), Error);
+  EXPECT_THROW(AuthService(&epochs, starved), Error);
 
   // Disabled admission tracks no state, so any shard count is fine.
   AuthServiceOptions open;
   open.admission_shards = 4;
-  const AuthService service(&registry, open);
+  const AuthService service(&epochs, open);
   EXPECT_EQ(service.admission_shard_count(), 4u);
 }
 
@@ -580,7 +585,8 @@ TEST(AuthServiceAdmission, SliceRoutingIsDeterministicPerDevice) {
   const auto registry = admission_registry();
   AuthServiceOptions options;
   options.admission_shards = 3;
-  const AuthService service(&registry, options);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, options);
   for (std::uint64_t id = 0; id < 64; ++id) {
     const std::size_t slice = service.admission_slice_index(id);
     EXPECT_LT(slice, 3u);
@@ -601,7 +607,8 @@ TEST(AuthServiceAdmission, SingleDeviceDecisionsAreShardCountInvariant) {
     options.admission.rate_interval = 3;
     options.admission.reuse_budget = 1;
     options.admission_shards = shards;
-    const AuthService service(&registry, options);
+    const registry::EpochRegistry epochs(registry);
+    const AuthService service(&epochs, options);
 
     std::vector<AuthRequest> requests;
     for (std::uint64_t r = 0; r < 24; ++r) {
@@ -627,7 +634,8 @@ TEST(AuthServiceAdmission, SliceReplayReproducesShardedDecisions) {
   options.admission.rate_interval = 3;
   options.admission.device_capacity = 7;  // uneven split: shares 3, 2, 2
   options.admission_shards = 3;
-  const AuthService service(&registry, options);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, options);
 
   // Device-major traffic: each device's 5 requests hit its slice on
   // consecutive ticks, so every device outruns burst 2 + refill-per-3 and

@@ -45,7 +45,8 @@ BitVec true_response(const registry::Registry& registry, std::uint64_t device_id
 
 TEST(AuthService, AcceptsTheTrueResponseAndTolerableNoise) {
   const auto registry = test_registry();
-  const AuthService service(&registry, small_options());
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, small_options());
   const std::uint64_t id = registry.device_id_at(3);
 
   AuthRequest request{id, 0xc4a11e46e, true_response(registry, id, 0xc4a11e46e, 8)};
@@ -63,7 +64,8 @@ TEST(AuthService, AcceptsTheTrueResponseAndTolerableNoise) {
 
 TEST(AuthService, RejectsResponsesPastTheThreshold) {
   const auto registry = test_registry();
-  const AuthService service(&registry, small_options());
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, small_options());
   const std::uint64_t id = registry.device_id_at(0);
 
   AuthRequest request{id, 42, true_response(registry, id, 42, 8)};
@@ -75,7 +77,8 @@ TEST(AuthService, RejectsResponsesPastTheThreshold) {
 
 TEST(AuthService, DegradesGracefullyInsteadOfThrowing) {
   const auto registry = test_registry();
-  const AuthService service(&registry, small_options());
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, small_options());
   const std::uint64_t known = registry.device_id_at(0);
 
   // Unknown device: id 1 is effectively never minted (ids are SplitMix64
@@ -135,7 +138,8 @@ TEST(AuthService, CorruptRecordYieldsItsOwnVerdict) {
   // FormatError, and other devices must be unaffected.
   std::uint64_t first_id = 0;
   const auto registry = registry_with_corrupt_first(&first_id);
-  const AuthService service(&registry, small_options());
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, small_options());
   const AuthVerdict corrupt = service.verify(AuthRequest{first_id, 42, BitVec(8)});
   EXPECT_EQ(corrupt.status, AuthStatus::kCorruptRecord);
   EXPECT_EQ(corrupt.response_bits, 8u);
@@ -152,7 +156,8 @@ TEST(AuthService, ResponseBitsClampToThePairCount) {
   AuthServiceOptions options;
   options.response_bits = 64;  // above the enrolled 16 pairs
   options.max_distance = 0;
-  const AuthService service(&registry, options);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, options);
   const std::uint64_t id = registry.device_id_at(0);
   const AuthVerdict verdict =
       service.verify(AuthRequest{id, 9, true_response(registry, id, 9, 16)});
@@ -234,8 +239,9 @@ TEST(AuthService, CacheNeverChangesVerdicts) {
   AuthServiceOptions cached = small_options();
   AuthServiceOptions uncached = small_options();
   uncached.cache_capacity = 0;
-  const AuthService with_cache(&registry, cached);
-  const AuthService without_cache(&registry, uncached);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService with_cache(&epochs, cached);
+  const AuthService without_cache(&epochs, uncached);
 
   WorkloadSpec spec;
   spec.requests = 256;
@@ -254,7 +260,8 @@ TEST(AuthService, NegativeCachingAnswersRepeatCorruptAndUnknownFromTheCache) {
   // verdict stays identical to the uncached one.
   std::uint64_t corrupt_id = 0;
   const auto registry = registry_with_corrupt_first(&corrupt_id);
-  const AuthService service(&registry, small_options());
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, small_options());
   ASSERT_FALSE(registry.contains(1));
 
   obs::set_metrics_enabled(true);
@@ -293,7 +300,8 @@ TEST(AuthService, UnknownDeviceSprayCannotEvictEnrolledEntries) {
   const auto registry = test_registry();
   AuthServiceOptions options = small_options();
   options.unknown_cache_capacity = 4;
-  const AuthService service(&registry, options);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, options);
 
   const std::uint64_t id = registry.device_id_at(0);
   const AuthRequest legit{id, 42, true_response(registry, id, 42, 8)};
@@ -331,7 +339,8 @@ TEST(AuthService, BatchVerdictsAreBitIdenticalAtAnyThreadBudget) {
     AuthServiceOptions options = small_options();
     options.threads = ThreadBudget(threads);
     options.batch_grain = 16;
-    const AuthService service(&registry, options);
+    const registry::EpochRegistry epochs(registry);
+    const AuthService service(&epochs, options);
     const auto requests = synthesize_workload(registry, options, spec);
     const auto verdicts = service.verify_batch(requests);
     ASSERT_EQ(verdicts.size(), spec.requests);
@@ -346,7 +355,8 @@ TEST(AuthService, BatchVerdictsAreBitIdenticalAtAnyThreadBudget) {
 
 TEST(AuthService, BatchMatchesElementwiseVerify) {
   const auto registry = test_registry();
-  const AuthService service(&registry, small_options());
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, small_options());
   WorkloadSpec spec;
   spec.requests = 64;
   const auto requests = synthesize_workload(registry, service.options(), spec);
@@ -378,7 +388,8 @@ TEST(SynthesizeWorkload, IsDeterministicAndCoversEveryCategory) {
     EXPECT_EQ(a[i].response, b[i].response) << i;
   }
 
-  const AuthService service(&registry, options);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, options);
   const auto verdicts = service.verify_batch(a);
   std::size_t accepted = 0, rejected = 0, unknown = 0;
   for (const auto& v : verdicts) {
@@ -404,7 +415,8 @@ TEST(SynthesizeWorkload, DroppedProverReadsDegradeToMalformedRequests) {
   spec.injector = &injector;
 
   const auto requests = synthesize_workload(registry, options, spec);
-  const AuthService service(&registry, options);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, options);
   const auto verdicts = service.verify_batch(requests);
   std::size_t malformed = 0;
   for (std::size_t i = 0; i < verdicts.size(); ++i) {

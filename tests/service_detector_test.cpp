@@ -313,7 +313,8 @@ TEST(AuthServiceDetector, RejectsDetectorCapacityBelowShardCount) {
   options.detector.enabled = true;
   options.detector.device_capacity = 3;
   options.admission_shards = 4;
-  EXPECT_THROW(AuthService(&registry, options), Error);
+  const registry::EpochRegistry epochs(registry);
+  EXPECT_THROW(AuthService(&epochs, options), Error);
 }
 
 TEST(AuthServiceDetector, EscalatesTheProbingDeviceAndThrottlesIt) {
@@ -337,7 +338,8 @@ TEST(AuthServiceDetector, EscalatesTheProbingDeviceAndThrottlesIt) {
     requests.push_back(genuine(registry, defended, 1, rng.next_u64()));
   }
 
-  const AuthService service(&registry, defended);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, defended);
   std::vector<AuthVerdict> verdicts;
   for (std::size_t round = 0; round < 48; ++round) {
     const std::vector<AuthVerdict> batch = service.verify_batch(
@@ -369,7 +371,7 @@ TEST(AuthServiceDetector, EscalatesTheProbingDeviceAndThrottlesIt) {
   // fewer attacker requests — the soak contract's gap, in miniature.
   AuthServiceOptions static_only = defended;
   static_only.detector.enabled = false;
-  const AuthService undetected(&registry, static_only);
+  const AuthService undetected(&epochs, static_only);
   const std::vector<AuthVerdict> static_verdicts = undetected.verify_batch(requests);
   std::size_t static_denied = 0;
   for (std::size_t i = 0; i < static_verdicts.size(); ++i) {
@@ -402,7 +404,8 @@ TEST(AuthServiceDetector, AdmittedSubsequenceKeepsDigestParity) {
 
   // Per-round batches so the escalating penalties actually shape the
   // admitted subsequence (see EscalatesTheProbingDeviceAndThrottlesIt).
-  const AuthService service(&registry, defended);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, defended);
   std::vector<AuthVerdict> verdicts;
   for (std::size_t round = 0; round < 40; ++round) {
     const std::vector<AuthVerdict> batch = service.verify_batch(
@@ -429,7 +432,7 @@ TEST(AuthServiceDetector, AdmittedSubsequenceKeepsDigestParity) {
   open.detector = DetectorOptions{};
   for (const std::size_t threads : {1u, 2u, 8u}) {
     set_thread_budget_override(threads);
-    const AuthService offline(&registry, open);
+    const AuthService offline(&epochs, open);
     EXPECT_EQ(service::verdict_digest(offline.verify_batch(admitted_requests)),
               service::verdict_digest(admitted_verdicts))
         << "threads=" << threads;
@@ -451,8 +454,9 @@ TEST(AuthServiceDetector, DetectorWithoutAdmissionNeverChangesVerdicts) {
   for (std::size_t round = 0; round < 30; ++round) {
     requests.push_back(oracle_probe(registry, 0, 8, 123, round % 9));
   }
-  const AuthService a(&registry, watched);
-  const AuthService b(&registry, plain);
+  const registry::EpochRegistry epochs(registry);
+  const AuthService a(&epochs, watched);
+  const AuthService b(&epochs, plain);
   EXPECT_EQ(service::verdict_digest(a.verify_batch(requests)),
             service::verdict_digest(b.verify_batch(requests)));
   EXPECT_GT(a.suspicion_level(registry.device_id_at(0)), 0u);

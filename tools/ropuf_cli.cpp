@@ -555,7 +555,8 @@ std::vector<service::ProofRequest> proof_requests_from_intents(
 int cmd_auth_batch(const Args& args) {
   const registry::Registry reg = registry_from_args(args);
   const service::AuthServiceOptions opts = auth_options_from_args(args);
-  const service::AuthService svc(&reg, opts);
+  const registry::EpochRegistry epochs(reg);
+  const service::AuthService svc(&epochs, opts);
   const std::uint64_t protocol = count_arg(args, "protocol", 1);
   ROPUF_REQUIRE(protocol == 1 || protocol == 2, "--protocol must be 1 or 2");
 

@@ -16,8 +16,7 @@
 //               [--detector on|off] [--detector-window N]
 //               [--detector-threshold N] [--detector-max-level N]
 //               [--detector-decay N] [--detector-devices N]
-//               [--threads N]
-//               [--shards N] [--dispatch auto|reuseport|roundrobin]
+//               [--shards N]
 //               [--max-connections N] [--max-pending N] [--max-batch N]
 //               [--max-read-per-sweep N] [--read-deadline-ms N]
 //               [--accept-backoff-ms N] [--drain-timeout-ms N]
@@ -28,6 +27,11 @@
 // --port-file writes the resolved port as a single decimal line once the
 // server is listening, so scripted callers (the ctest smoke test) can wait
 // for the file instead of parsing stdout.
+//
+// Reactors verify inline: the service runs at a thread budget of 1, so each
+// shard verifies its own batches on its own thread, and --shards alone sets
+// the server's parallelism. Shard 0 accepts and deals connections to the
+// shards round-robin.
 //
 // --registry-watch on (the default whenever --registry is given) installs a
 // SIGHUP handler: on signal, the base file and its `<base>.delta-*` siblings
@@ -86,20 +90,13 @@ int serve(const Args& args) {
   // shard, so concurrent shards rarely contend on one admission mutex while
   // every device still lands on one deterministic token bucket.
   svc_opts.admission_shards = shards;
+  // Inline verification: a reactor's verify_batch never queues behind the
+  // other reactors' batches on the shared pool.
+  svc_opts.threads = ThreadBudget(1);
   const service::AuthService svc(&epochs, svc_opts);
 
   net::ServerOptions opts;
   opts.shards = shards;
-  const std::string dispatch = args.get("dispatch", "auto");
-  if (dispatch == "auto") {
-    opts.dispatch = net::DispatchMode::kAuto;
-  } else if (dispatch == "reuseport") {
-    opts.dispatch = net::DispatchMode::kReusePort;
-  } else if (dispatch == "roundrobin") {
-    opts.dispatch = net::DispatchMode::kRoundRobin;
-  } else {
-    ROPUF_REQUIRE(false, "--dispatch must be auto, reuseport, or roundrobin");
-  }
   opts.bind_address = args.get("bind", "127.0.0.1");
   opts.port = static_cast<std::uint16_t>(args.number("port", 0));
   // count_arg rejects negative values eagerly; a negative bound must fail
@@ -160,12 +157,9 @@ int serve(const Args& args) {
     ROPUF_REQUIRE(file.flush().good(), "failed writing port file " + path);
   }
   if (server.shard_count() > 1) {
-    std::printf("serving %zu devices on %s:%u (%zu shards, %s dispatch, epoch %llu)\n",
+    std::printf("serving %zu devices on %s:%u (%zu shards, epoch %llu)\n",
                 epochs.device_count(), opts.bind_address.c_str(), port,
-                server.shard_count(),
-                server.dispatch() == net::DispatchMode::kReusePort ? "reuseport"
-                                                                   : "roundrobin",
-                static_cast<unsigned long long>(epochs.epoch()));
+                server.shard_count(), static_cast<unsigned long long>(epochs.epoch()));
   } else {
     std::printf("serving %zu devices on %s:%u (epoch %llu)\n", epochs.device_count(),
                 opts.bind_address.c_str(), port,
@@ -188,7 +182,7 @@ int usage() {
                "                   [--registry-watch on|off]\n"
                "                   [--bind A] [--port P] [--port-file F]\n"
                "                   [--bits B] [--max-hd D] [--cache C]\n"
-               "                   [--unknown-cache C] [--threads N]\n"
+               "                   [--unknown-cache C]\n"
                "                   [--rate-burst N --rate-interval T]\n"
                "                   [--crp-budget N] [--reuse-budget N]\n"
                "                   [--challenge-sketch N] [--admission-devices N]\n"
@@ -196,7 +190,7 @@ int usage() {
                "                   [--detector-threshold N] [--detector-max-level N]\n"
                "                   [--detector-decay N] [--detector-devices N]\n"
                "                   [--reenroll-threshold N]\n"
-               "                   [--shards N] [--dispatch auto|reuseport|roundrobin]\n"
+               "                   [--shards N]\n"
                "                   [--max-connections N] [--max-pending N]\n"
                "                   [--max-batch N] [--max-read-per-sweep N]\n"
                "                   [--read-deadline-ms N] [--accept-backoff-ms N]\n"
@@ -215,7 +209,6 @@ int main(int argc, char** argv) {
   try {
     const Args args(argc, argv, 1);
     if (args.has("help")) return usage();
-    apply_thread_budget(args);
     const ObsSession obs_session(args);
     const int rc = serve(args);
     obs_session.finish();

@@ -9,17 +9,18 @@
 #      (a fresh server over the same fleet must always come up at epoch 1),
 #   3. SIGINT triggers a graceful drain: the server exits 0 on its own.
 #
-# Runs four phases: single-reactor (--shards 1, the PR-5 shape),
-# multi-reactor (--shards 2, which also exercises the --port-file handshake
-# contract: the port file must not appear until EVERY shard listener is
-# bound), a v1/v2 interop phase (one v2-capable server serving a v1 client
-# and a `--protocol 2` client concurrently — the v1 digest must stay
-# byte-identical and the v2 digest must match offline
-# `auth-batch --protocol 2`), and a reload phase that serves from an
-# on-disk registry, appends a delta segment with ropuf_cli registry-append,
-# sends SIGHUP, and requires the server to report the new epoch while
-# verdicts for the untouched base devices stay byte-identical across the
-# swap.
+# Runs five phases: single-reactor (--shards 1), multi-reactor (--shards 2,
+# which also exercises the --port-file handshake contract: the port file
+# must not appear before the listener is bound), a v1/v2 interop phase (one
+# v2-capable server serving a v1 client and a `--protocol 2` client
+# concurrently — the v1 digest must stay byte-identical and the v2 digest
+# must match offline `auth-batch --protocol 2`), a reload phase that serves
+# from an on-disk registry on two reactors, appends a delta segment with
+# ropuf_cli registry-append, sends SIGHUP, and requires the server to report
+# the new epoch while verdicts for the untouched base devices stay
+# byte-identical across the swap (its --metrics-out snapshot must also show
+# no pooled parallel region: reactors verify inline), and a compact-in-place
+# phase that rewrites the served registry under a live server.
 #
 # Usage: server_smoke_test.sh <ropuf_serve> <ropuf_cli> <workdir>
 set -euo pipefail
@@ -52,7 +53,7 @@ start_server() {
   LOG="smoke_log_${LABEL}.txt"
   rm -f "$PORT_FILE" "$LOG"
 
-  "$SERVE" --port 0 --port-file "$PORT_FILE" --threads 2 "$@" >"$LOG" &
+  "$SERVE" --port 0 --port-file "$PORT_FILE" "$@" >"$LOG" &
   SRV=$!
   trap 'kill -9 $SRV 2>/dev/null || true' EXIT
 
@@ -186,11 +187,15 @@ echo "PASS(interop): v1 $V1_DIGEST / v2 $V2_DIGEST (concurrent clients, one serv
 # offline digest still applies), append a delta of brand-new devices, SIGHUP,
 # and require: the server reports the bumped epoch, and verdicts for the
 # untouched base devices are byte-identical before and after the swap.
+# Serving from a file keeps the in-memory mint's pooled parallel regions out
+# of the metrics, so the snapshot must count no pooled region at all: each
+# reactor verifies its own batches inline.
 REG="smoke_fleet.ropufreg"
-rm -f "$REG" "$REG".delta-*
+METRICS="smoke_metrics_reload.json"
+rm -f "$REG" "$REG".delta-* "$METRICS"
 "$CLI" registry-build --out "$REG" $FLEET >/dev/null
 
-start_server reload --registry "$REG"
+start_server reload --registry "$REG" --shards 2 --metrics-out "$METRICS"
 run_client reload_before
 note_epoch reload
 
@@ -209,6 +214,82 @@ fi
 run_client reload_after
 stop_server reload
 echo "PASS(reload): $LAST_DIGEST (digest stable across SIGHUP epoch swap)"
+
+POOLED=$(grep -o '"parallel.regions_pooled": [0-9]*' "$METRICS" | grep -o '[0-9]*$' || true)
+if [ "$POOLED" != "0" ]; then
+  echo "FAIL(inline): sharded server ran ${POOLED:-no count of} pooled parallel regions"
+  exit 1
+fi
+echo "PASS(inline): reactors verified inline (parallel.regions_pooled 0)"
+
+# ------------------------------------------------------ compact-in-place phase
+# Serve base + delta with the cache off, so every request reads the served
+# registry bytes. Then retire a served device and compact in place under the
+# live server. Writes replace files by rename, so until SIGHUP the server
+# must answer from its own generation (digest unchanged); after SIGHUP it
+# must answer exactly like a fresh server over the compacted file. The
+# client's workload comes from a frozen copy of the base, because the
+# compacted population differs by design. Enrolled with --base-id, the
+# devices have known ids (100..103) to retire.
+CREG="smoke_compact.ropufreg"
+rm -f "$CREG" "$CREG".delta-*
+ENROLLMENTS=""
+for S in 1 2 3 4; do
+  "$CLI" enroll --seed "$S" --out "smoke_enroll_$S.txt" >/dev/null
+  ENROLLMENTS="${ENROLLMENTS:+$ENROLLMENTS,}smoke_enroll_$S.txt"
+done
+"$CLI" registry-build --out "$CREG" --enrollments "$ENROLLMENTS" --base-id 100 >/dev/null
+"$CLI" registry-append --registry "$CREG" --devices 3 --seed 777 >/dev/null
+cp "$CREG" smoke_compact_client.ropufreg
+CWORKLOAD="--registry smoke_compact_client.ropufreg --requests 128 --bits 16 --max-hd 2"
+
+# client_digest: the auth-client verdict digest line for $CWORKLOAD.
+client_digest() {
+  "$CLI" auth-client --port "$PORT" $CWORKLOAD | grep 'verdict digest'
+}
+
+start_server compact --registry "$CREG" --cache 0
+BEFORE=$(client_digest)
+"$CLI" registry-append --registry "$CREG" --retire 101 >/dev/null
+"$CLI" registry-compact --registry "$CREG" >/dev/null
+if ls "$CREG".delta-* >/dev/null 2>&1; then
+  echo "FAIL(compact): in-place compaction left merged deltas behind"
+  exit 1
+fi
+UNCHANGED=$(client_digest)
+if [ "$UNCHANGED" != "$BEFORE" ]; then
+  echo "FAIL(compact): digest changed before SIGHUP (served bytes rewritten in place)"
+  echo "  before:  $BEFORE"
+  echo "  after:   $UNCHANGED"
+  exit 1
+fi
+kill -HUP "$SRV"
+for _ in $(seq 100); do
+  grep -q 'reload' "$LOG" && break
+  sleep 0.1
+done
+if ! grep -q 'reloaded: epoch' "$LOG"; then
+  echo "FAIL(compact): server did not reload the compacted registry"
+  cat "$LOG"
+  exit 1
+fi
+RELOADED=$(client_digest)
+stop_server compact
+
+start_server compact_fresh --registry "$CREG" --cache 0
+FRESH=$(client_digest)
+stop_server compact_fresh
+if [ "$RELOADED" = "$BEFORE" ]; then
+  echo "FAIL(compact): the retirement never reached the served verdicts"
+  exit 1
+fi
+if [ "$RELOADED" != "$FRESH" ]; then
+  echo "FAIL(compact): reloaded server disagrees with a fresh server"
+  echo "  reloaded: $RELOADED"
+  echo "  fresh:    $FRESH"
+  exit 1
+fi
+echo "PASS(compact): $FRESH (unchanged until SIGHUP, then equal to a fresh server)"
 
 # ------------------------------------------------- cross-phase epoch parity
 for ENTRY in $EPOCHS_SEEN; do
