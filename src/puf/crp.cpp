@@ -23,6 +23,14 @@ std::vector<std::size_t> challenge_to_pairs(std::uint64_t challenge,
   return order;
 }
 
+BitVec reference_response(const BitVec& enrolled, std::uint64_t challenge,
+                          std::size_t response_bits) {
+  const auto pairs = challenge_to_pairs(challenge, enrolled.size(), response_bits);
+  BitVec response(response_bits);
+  for (std::size_t i = 0; i < pairs.size(); ++i) response.set(i, enrolled.get(pairs[i]));
+  return response;
+}
+
 CrpOracle::CrpOracle(const ConfigurableEnrollment* enrollment, std::size_t response_bits)
     : enrollment_(enrollment), response_bits_(response_bits) {
   ROPUF_REQUIRE(enrollment_ != nullptr, "null enrollment");
@@ -47,13 +55,7 @@ BitVec CrpOracle::respond(std::uint64_t challenge,
 }
 
 BitVec CrpOracle::reference(std::uint64_t challenge) const {
-  const auto pairs =
-      challenge_to_pairs(challenge, enrollment_->selections.size(), response_bits_);
-  BitVec response(response_bits_);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    response.set(i, enrollment_->selections[pairs[i]].bit);
-  }
-  return response;
+  return reference_response(enrollment_->response(), challenge, response_bits_);
 }
 
 }  // namespace ropuf::puf

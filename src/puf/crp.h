@@ -28,6 +28,12 @@ std::vector<std::size_t> challenge_to_pairs(std::uint64_t challenge,
                                             std::size_t pair_count,
                                             std::size_t response_bits);
 
+/// The reference response to `challenge`: bit i is the enrolled bit of pair
+/// challenge_to_pairs(...)[i]. `enrolled` holds one bit per pair (bit p =
+/// pair p's enrollment-time bit) — all a verifier stores per device.
+BitVec reference_response(const BitVec& enrolled, std::uint64_t challenge,
+                          std::size_t response_bits);
+
 /// A challenge-response evaluator bound to one board's enrollment.
 class CrpOracle {
  public:

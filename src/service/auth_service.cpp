@@ -41,8 +41,7 @@ const char* auth_status_name(AuthStatus status) {
 
 // -------------------------------------------------------------------- cache
 
-EnrollmentCache::EnrollmentCache(std::size_t capacity, const std::string& metric_prefix)
-    : capacity_(capacity) {
+EnrollmentCache::EnrollmentCache(std::size_t capacity) : capacity_(capacity) {
   // Small caches stay single-sharded so the capacity bound (and LRU order,
   // which the tests pin) is exact; serving-sized caches spread over 8 shards
   // to keep batch workers off each other's mutex.
@@ -52,11 +51,11 @@ EnrollmentCache::EnrollmentCache(std::size_t capacity, const std::string& metric
     shards_[s].lru = BoundedLru<Entry>(split_share(capacity, shard_count_, s));
   }
   obs::Registry& registry = obs::Registry::instance();
-  hits_ = &registry.counter(metric_prefix + "_hits");
-  misses_ = &registry.counter(metric_prefix + "_misses");
-  bypasses_ = &registry.counter(metric_prefix + "_bypass");
-  evictions_ = &registry.counter(metric_prefix + "_evictions");
-  stale_ = &registry.counter(metric_prefix + "_stale");
+  hits_ = &registry.counter("service.cache_hits");
+  misses_ = &registry.counter("service.cache_misses");
+  bypasses_ = &registry.counter("service.cache_bypass");
+  evictions_ = &registry.counter("service.cache_evictions");
+  stale_ = &registry.counter("service.cache_stale");
 }
 
 std::size_t EnrollmentCache::shard_index(std::uint64_t device_id) const {
@@ -120,8 +119,7 @@ AuthService::AuthService(const registry::EpochRegistry* epochs,
                          AuthServiceOptions options)
     : epochs_(epochs),
       options_(options),
-      cache_(options.cache_capacity),
-      unknown_cache_(options.unknown_cache_capacity, "service.unknown_cache") {
+      cache_(options.cache_capacity) {
   ROPUF_REQUIRE(epochs_ != nullptr, "null epoch registry");
   ROPUF_REQUIRE(options_.response_bits > 0, "response_bits must be positive");
   ROPUF_REQUIRE(options_.batch_grain > 0, "batch_grain must be positive");
@@ -176,45 +174,39 @@ AuthVerdict AuthService::verify(const AuthRequest& request) const {
 EnrollmentCache::Entry AuthService::resolve_lookup(
     const registry::RegistrySnapshot& snapshot, std::uint64_t device_id) const {
   const std::uint64_t epoch = snapshot.epoch();
-  EnrollmentCache::Entry looked_up = cache_.get(device_id, epoch);
-  if (looked_up == nullptr) looked_up = unknown_cache_.get(device_id, epoch);
-  if (looked_up != nullptr) return looked_up;
-  // Resolve against the pinned snapshot once and cache the *outcome* —
-  // including the negative ones, so repeat corrupt/unknown traffic never
-  // re-walks the registry or pays a thrown FormatError per request.
-  // Entries are tagged with the snapshot's epoch: after a swap they stop
-  // answering (stale-evicted on first touch), so a replaced or retired
-  // record can never serve from cache. Unknown-device outcomes go to
-  // their own smaller cache: their key space is unbounded, and a spray of
-  // random ids must only ever evict other unknowns, never the enrollments
-  // legitimate traffic depends on.
-  auto resolved = std::make_shared<CachedLookup>();
-  resolved->epoch = epoch;
+  if (EnrollmentCache::Entry cached = cache_.get(device_id, epoch)) return cached;
+  // An id the snapshot's live set lacks is answered right here: no index
+  // walk, no decode and no cache entry, so a spray of random ids evicts
+  // nothing the legitimate traffic depends on.
+  if (!snapshot.contains(device_id)) return nullptr;
+  // Resolve against the pinned snapshot once and cache what a verdict reads
+  // — including a corrupt record, so repeat traffic for it never re-walks
+  // the registry or pays a thrown FormatError per request. Records are
+  // tagged with the snapshot's epoch: after a swap they stop answering
+  // (stale-evicted on first touch), so a replaced or retired record can
+  // never serve from cache.
+  auto record = std::make_shared<VerifierRecord>();
+  record->epoch = epoch;
   try {
-    std::optional<puf::ConfigurableEnrollment> found = snapshot.find(device_id);
-    if (found.has_value()) {
-      resolved->enrollment = std::move(*found);
-      // Derive the v2 verification key once per (device, epoch): Rep over
-      // the clean enrollment response plus the KCV cross-check. Leaving it
-      // disengaged (unprovisioned record or tampered auth material) is
-      // itself a cached outcome — every proof against it answers
-      // kCorruptRecord without touching the extractor again.
-      if (resolved->enrollment->has_auth()) {
-        resolved->auth_key = auth::derive_enrollment_key(*resolved->enrollment);
-      }
-    } else {
-      resolved->outcome = CachedLookup::Outcome::kUnknownDevice;
+    const std::optional<puf::ConfigurableEnrollment> enrollment =
+        snapshot.find(device_id);
+    if (!enrollment.has_value()) return nullptr;
+    record->bits = enrollment->response();
+    // Derive the v2 verification key once per (device, epoch): Rep over
+    // the clean enrollment response plus the KCV cross-check. Leaving it
+    // disengaged (unprovisioned record or tampered auth material) is
+    // itself a cached outcome — every proof against it answers
+    // kCorruptRecord without touching the extractor again.
+    if (enrollment->has_auth()) {
+      record->key = auth::derive_enrollment_key(*enrollment);
+      record->proof_bits =
+          enrollment->auth_helper.size() * enrollment->auth_helper.front().size();
     }
   } catch (const registry::FormatError&) {
-    resolved->outcome = CachedLookup::Outcome::kCorruptRecord;
+    record->corrupt = true;
   }
-  looked_up = std::move(resolved);
-  if (looked_up->outcome == CachedLookup::Outcome::kUnknownDevice) {
-    unknown_cache_.put(device_id, looked_up);
-  } else {
-    cache_.put(device_id, looked_up);
-  }
-  return looked_up;
+  cache_.put(device_id, record);
+  return record;
 }
 
 AuthVerdict AuthService::verify_pinned(const registry::RegistrySnapshot& snapshot,
@@ -233,28 +225,23 @@ AuthVerdict AuthService::verify_pinned(const registry::RegistrySnapshot& snapsho
   requests.add(1);
   const obs::ScopedLatency verify_timer(verify_us);
 
-  const EnrollmentCache::Entry looked_up =
-      resolve_lookup(snapshot, request.device_id);
-  switch (looked_up->outcome) {
-    case CachedLookup::Outcome::kUnknownDevice:
-      unknown.add(1);
-      return AuthVerdict{AuthStatus::kUnknownDevice, 0, options_.response_bits};
-    case CachedLookup::Outcome::kCorruptRecord:
-      corrupt.add(1);
-      return AuthVerdict{AuthStatus::kCorruptRecord, 0, options_.response_bits};
-    case CachedLookup::Outcome::kEnrolled:
-      break;
+  const EnrollmentCache::Entry record = resolve_lookup(snapshot, request.device_id);
+  if (record == nullptr) {
+    unknown.add(1);
+    return AuthVerdict{AuthStatus::kUnknownDevice, 0, options_.response_bits};
   }
-  const puf::ConfigurableEnrollment& enrollment = *looked_up->enrollment;
+  if (record->corrupt) {
+    corrupt.add(1);
+    return AuthVerdict{AuthStatus::kCorruptRecord, 0, options_.response_bits};
+  }
 
-  const std::size_t bits =
-      std::min(options_.response_bits, enrollment.layout.pair_count);
+  const std::size_t bits = std::min(options_.response_bits, record->bits.size());
   if (request.response.size() != bits) {
     malformed.add(1);
     return AuthVerdict{AuthStatus::kMalformedRequest, 0, bits};
   }
-  const puf::CrpOracle oracle(&enrollment, bits);
-  const BitVec reference = oracle.reference(request.challenge);
+  const BitVec reference =
+      puf::reference_response(record->bits, request.challenge, bits);
   const std::size_t distance = reference.hamming_distance(request.response);
   if (distance <= options_.max_distance) {
     accepted.add(1);
@@ -366,36 +353,26 @@ AuthVerdict AuthService::verify_proof_pinned(
   requests.add(1);
   const obs::ScopedLatency verify_timer(verify_us);
 
-  const EnrollmentCache::Entry looked_up =
-      resolve_lookup(snapshot, request.device_id);
-  switch (looked_up->outcome) {
-    case CachedLookup::Outcome::kUnknownDevice:
-      unknown.add(1);
-      return AuthVerdict{AuthStatus::kUnknownDevice, 0, 0};
-    case CachedLookup::Outcome::kCorruptRecord:
-      corrupt.add(1);
-      return AuthVerdict{AuthStatus::kCorruptRecord, 0, 0};
-    case CachedLookup::Outcome::kEnrolled:
-      break;
+  const EnrollmentCache::Entry record = resolve_lookup(snapshot, request.device_id);
+  if (record == nullptr) {
+    unknown.add(1);
+    return AuthVerdict{AuthStatus::kUnknownDevice, 0, 0};
   }
-  if (!looked_up->auth_key.has_value()) {
-    // Enrolled but not provisioned for v2 (or its auth material failed the
-    // key check): the record cannot back a proof.
+  if (record->corrupt || !record->key.has_value()) {
+    // Corrupt, or enrolled but not provisioned for v2 (or its auth material
+    // failed the key check): the record cannot back a proof.
     corrupt.add(1);
     return AuthVerdict{AuthStatus::kCorruptRecord, 0, 0};
   }
   // response_bits reports the helper-covered span; distance is always 0 —
   // the whole point of v2 is that no distance oracle leaves the verifier.
-  const puf::ConfigurableEnrollment& enrollment = *looked_up->enrollment;
-  const std::size_t covered =
-      enrollment.auth_helper.size() * enrollment.auth_helper.front().size();
-  if (auth::verify_tag(*looked_up->auth_key, request.nonce, request.request_id,
+  if (auth::verify_tag(*record->key, request.nonce, request.request_id,
                        request.device_id, request.tag)) {
     accepted.add(1);
-    return AuthVerdict{AuthStatus::kAccept, 0, covered};
+    return AuthVerdict{AuthStatus::kAccept, 0, record->proof_bits};
   }
   rejected.add(1);
-  return AuthVerdict{AuthStatus::kReject, 0, covered};
+  return AuthVerdict{AuthStatus::kReject, 0, record->proof_bits};
 }
 
 std::vector<AuthVerdict> AuthService::verify_proof_batch(
@@ -523,8 +500,8 @@ std::vector<AuthRequest> synthesize_workload(const registry::Registry& registry,
     // the hardened readout's terminal condition (retry budget spent): the
     // prover degrades the whole response rather than fabricating bits, and
     // the service answers kMalformedRequest for it.
-    const puf::CrpOracle oracle(&enrollment, bits);
-    const BitVec reference = oracle.reference(request.challenge);
+    const BitVec reference =
+        puf::reference_response(enrollment.response(), request.challenge, bits);
     try {
       BitVec response(bits);
       for (std::size_t i = 0; i < bits; ++i) {

@@ -13,17 +13,16 @@
 //    (parallel_for_chunked); verdict i depends only on request i and the
 //    immutable registry, so a batch's verdicts are bit-identical at any
 //    thread budget.
-//  * Record decoding is the per-request cost that matters, so *lookup
-//    outcomes* sit in a capacity-bounded sharded LRU cache with hit/miss
-//    counters in obs. Negative outcomes are cached too: repeat traffic for
-//    a hostile or rotten id costs one shard lookup, never a registry walk
-//    or a thrown decode error. Enrolled and corrupt-record outcomes share
-//    the main cache (both are keyed by ids actually present in the
-//    registry, so their population is bounded); unknown-device outcomes
-//    live in a *separate, smaller* cache, because their key space is the
-//    whole u64 range — an attacker spraying random ids must not be able to
-//    evict legitimate enrollments. Both caches are pure performance layers
-//    over the immutable registry: verdicts never depend on their state.
+//  * Record decoding is the per-request cost that matters, so each device's
+//    *verifier record* (service::VerifierRecord: the enrolled bit per pair
+//    and the derived v2 key, nothing else of the decoded enrollment) sits in
+//    a capacity-bounded sharded LRU cache with hit/miss counters in obs. A
+//    corrupt record is cached too: repeat traffic for a rotten id costs one
+//    shard lookup, never a registry walk or a thrown decode error. Unknown
+//    ids never reach the cache: the pinned snapshot's live-id set answers
+//    them with one binary search, so an attacker spraying random ids can
+//    evict nothing. The cache is a pure performance layer over the
+//    immutable registry: verdicts never depend on its state.
 //  * Graceful degradation, not exceptions: an unenrolled device, a record
 //    that fails to decode (registry Defect::kBadRecord) and a degraded or
 //    malformed request each map to their own verdict status, so one bad
@@ -140,13 +139,9 @@ struct AuthServiceOptions {
   std::size_t response_bits = 16;
   /// Accept iff Hamming distance <= this (the noise budget).
   std::size_t max_distance = 2;
-  /// Total cached lookups (enrolled + corrupt-record outcomes) across all
+  /// Total cached verifier records (enrolled and corrupt) across all
   /// shards; 0 disables the cache.
   std::size_t cache_capacity = 4096;
-  /// Separate bound for cached unknown-device outcomes; 0 disables it.
-  /// Kept apart from cache_capacity so a spray of never-enrolled ids
-  /// competes only with other unknown ids, never with real enrollments.
-  std::size_t unknown_cache_capacity = 256;
   /// Requests per parallel chunk in verify_batch.
   std::size_t batch_grain = 64;
   /// Per-device admission control (all-off by default; see admission.h).
@@ -172,31 +167,32 @@ struct AuthServiceOptions {
   ThreadBudget threads;
 };
 
-/// One resolved registry lookup, cached positively or negatively. The
-/// enrollment is engaged only for kEnrolled; the negative outcomes carry
-/// the *reason* so a cache hit reproduces the exact degradation verdict.
-struct CachedLookup {
-  enum class Outcome {
-    kEnrolled,       ///< the device's record decoded; `enrollment` is engaged
-    kUnknownDevice,  ///< the id is not in the registry
-    kCorruptRecord,  ///< the record raised kBadRecord on decode
-  };
-  Outcome outcome = Outcome::kEnrolled;
-  std::optional<puf::ConfigurableEnrollment> enrollment;
+/// What a verdict reads from one device's record, resolved once per
+/// (device, epoch) and cached. Case-1 and Case-2 selection fix every pair's
+/// configuration at enrollment, so a verifier needs only the enrolled bit
+/// per pair (v1) and the derived key (v2); the decoded enrollment is dropped
+/// as soon as both are read out of it.
+struct VerifierRecord {
+  /// Registry epoch the record was resolved under. A record only answers
+  /// for its own epoch: a swap (delta append, compaction, SIGHUP reload)
+  /// makes every older record stale, so a replaced record can never serve
+  /// from cache after its epoch retires.
+  std::uint64_t epoch = 0;
+  /// The record raised kBadRecord on decode; every other field is empty.
+  bool corrupt = false;
+  /// The enrolled response, one bit per pair (bit p = pair p's bit).
+  BitVec bits;
   /// The protocol-v2 verification key, derived once at resolve time for
   /// provisioned records (Rep over the clean enrollment response + KCV
   /// cross-check). Disengaged when the record is unprovisioned or its auth
   /// material fails the cross-check — proofs against it answer
   /// kCorruptRecord without re-running the extractor per request.
-  std::optional<crypto::Sha256Digest> auth_key;
-  /// Registry epoch the lookup was resolved under. An entry only answers
-  /// for its own epoch: a swap (delta append, compaction, SIGHUP reload)
-  /// makes every older entry stale, so a replaced record can never serve
-  /// from cache after its epoch retires.
-  std::uint64_t epoch = 0;
+  std::optional<crypto::Sha256Digest> key;
+  /// Bits the v2 helper data covers (the proof verdicts' response_bits).
+  std::size_t proof_bits = 0;
 };
 
-/// Sharded LRU of lookup outcomes, keyed by device id: one BoundedLru
+/// Sharded LRU of verifier records, keyed by device id: one BoundedLru
 /// (common/lru.h) per shard. Lookups and inserts lock only one shard, so
 /// concurrent batch workers rarely collide. The total entry count never
 /// exceeds the configured capacity: shard bounds are split_share()s of it,
@@ -204,22 +200,19 @@ struct CachedLookup {
 /// Eviction is per-shard LRU, not global — a key-skewed workload can evict
 /// from its hot shard while other shards have room (the SplitMix64 shard hash
 /// makes sustained skew unlikely in practice). Hit, miss and eviction
-/// counters land in obs under "<metric_prefix>_*" — "service.cache_*" for
-/// the service's main cache, "service.unknown_cache_*" for its
-/// unknown-device cache; under a parallel batch their values are
-/// scheduling-dependent (see docs/observability.md). A disabled cache
-/// (capacity 0) counts "<metric_prefix>_bypass" instead of misses, so
-/// cache-off A/B runs do not pollute hit-rate dashboards.
+/// counters land in obs under "service.cache_*"; under a parallel batch
+/// their values are scheduling-dependent (see docs/observability.md). A
+/// disabled cache (capacity 0) counts "service.cache_bypass" instead of
+/// misses, so cache-off A/B runs do not pollute hit-rate dashboards.
 class EnrollmentCache {
  public:
-  using Entry = std::shared_ptr<const CachedLookup>;
+  using Entry = std::shared_ptr<const VerifierRecord>;
 
-  explicit EnrollmentCache(std::size_t capacity,
-                           const std::string& metric_prefix = "service.cache");
+  explicit EnrollmentCache(std::size_t capacity);
 
-  /// The cached lookup, refreshed to most-recently-used; nullptr on miss.
+  /// The cached record, refreshed to most-recently-used; nullptr on miss.
   /// An entry whose tagged epoch differs from `epoch` is *stale*: it is
-  /// evicted on the spot, counted under "<metric_prefix>_stale" (and as a
+  /// evicted on the spot, counted under "service.cache_stale" (and as a
   /// miss, since the caller must re-resolve), and never returned — the
   /// epoch-swap invalidation contract. Callers that don't version their
   /// entries use the default epoch 0 throughout and never see staleness.
@@ -272,7 +265,6 @@ class AuthService {
 
   const AuthServiceOptions& options() const { return options_; }
   std::size_t cache_size() const { return cache_.size(); }
-  std::size_t unknown_cache_size() const { return unknown_cache_.size(); }
 
   /// The epoch new requests are admitted under right now.
   std::uint64_t epoch() const { return epochs_->epoch(); }
@@ -350,7 +342,9 @@ class AuthService {
   /// verify_proof() against an explicitly pinned snapshot.
   AuthVerdict verify_proof_pinned(const registry::RegistrySnapshot& snapshot,
                                   const ProofRequest& request) const;
-  /// The shared lookup-and-cache step behind both verify paths.
+  /// The shared lookup-and-cache step behind both verify paths: the
+  /// device's verifier record, or nullptr when the snapshot does not hold
+  /// the id (never cached).
   EnrollmentCache::Entry resolve_lookup(const registry::RegistrySnapshot& snapshot,
                                         std::uint64_t device_id) const;
   /// One step of the serial post-pass: feeds a verdict to the device's
@@ -361,7 +355,6 @@ class AuthService {
   const registry::EpochRegistry* epochs_;
   AuthServiceOptions options_;
   mutable EnrollmentCache cache_;
-  mutable EnrollmentCache unknown_cache_;
   /// The per-device state of one admission slice, device-id-hash routed:
   /// the admission pre-pass reads the detector's penalty and decides with
   /// the controller; the serial post-pass feeds the detector the batch's

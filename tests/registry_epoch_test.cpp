@@ -15,6 +15,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -531,6 +532,86 @@ TEST_F(EpochFilesTest, AtomicWritesLeaveNoTempFilesAndDiscoverySkipsLeftovers) {
   std::ofstream(delta_path(3) + ".tmp-1-1") << "x";
   EXPECT_EQ(discover_delta_paths(base_path_), std::vector<std::string>{delta_path(1)});
   EXPECT_EQ(load_epoch_files(base_path_).deltas.size(), 1u);
+}
+
+/// What a reload of the base and its deltas would serve: its epoch, its
+/// live ids, and every live record's decoded bytes.
+struct LoadedGeneration {
+  std::uint64_t epoch = 0;
+  std::vector<std::uint64_t> ids;
+  std::vector<std::string> images;
+};
+
+LoadedGeneration load_generation(const std::string& base_path) {
+  EpochFileSet files = load_epoch_files(base_path);
+  const std::uint64_t epoch = 1 + files.deltas.size();
+  const RegistrySnapshot snapshot(epoch, std::move(files.base), std::move(files.deltas));
+  LoadedGeneration generation{snapshot.epoch(), snapshot.live_device_ids(), {}};
+  for (const std::uint64_t id : generation.ids) {
+    generation.images.push_back(enrollment_image(snapshot.find(id).value()));
+  }
+  return generation;
+}
+
+/// The prefixes a writer stopped at a section boundary leaves: nothing, the
+/// header, header plus index, all but the last byte, and the whole image.
+std::vector<std::size_t> section_boundaries(const std::string& image) {
+  const std::size_t index_end =
+      kDeltaHeaderBytes + peek_u64(image, kDeviceCountOffset) * kDeltaIndexEntry;
+  return {0, kDeltaHeaderBytes, index_end, image.size() - 1, image.size()};
+}
+
+void write_prefix(const std::string& path, const std::string& image, std::size_t size) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << image.substr(0, size);
+}
+
+TEST_F(EpochFilesTest, InterruptedWritesLeaveTheOldGenerationOrFailTheLoad) {
+  // write_file_atomic fills a temp file and renames it over the target, so
+  // a writer stopped at any section boundary leaves a prefix of the new
+  // image under the temp name, and a reload must still see the old
+  // generation whole. A torn image under a final delta name (a writer that
+  // skipped the rename protocol) must fail the whole load, never mix
+  // generations.
+  DeltaBuilder first;
+  first.upsert(95, sample_enrollment(95));
+  first.write_file(delta_path(1));
+  const LoadedGeneration old = load_generation(base_path_);
+  ASSERT_EQ(old.epoch, 2u);
+
+  DeltaBuilder second;
+  second.upsert(10, sample_enrollment(11));
+  second.retire(20);
+  second.upsert(77, sample_enrollment(77));
+  const std::string delta_image = second.build();
+  RegistryBuilder rewritten;
+  for (std::uint64_t d = 1; d <= 4; ++d) rewritten.add(10 * d + 1, sample_enrollment(d));
+  const std::string base_image = rewritten.build();
+
+  const auto temp_name = [this](const std::string& path) {
+    return (dir_ / ("." + std::filesystem::path(path).filename().string() + ".tmp-" +
+                    std::to_string(::getpid()) + "-0"))
+        .string();
+  };
+  for (const auto& [target, image] :
+       {std::pair{delta_path(2), delta_image}, std::pair{base_path_, base_image}}) {
+    const std::string temp = temp_name(target);
+    for (const std::size_t size : section_boundaries(image)) {
+      SCOPED_TRACE(target + " prefix " + std::to_string(size));
+      write_prefix(temp, image, size);
+      const LoadedGeneration loaded = load_generation(base_path_);
+      EXPECT_EQ(loaded.epoch, old.epoch);
+      EXPECT_EQ(loaded.ids, old.ids);
+      EXPECT_EQ(loaded.images, old.images);
+    }
+    std::filesystem::remove(temp);
+  }
+
+  for (const std::size_t size : section_boundaries(delta_image)) {
+    if (size == delta_image.size()) continue;
+    SCOPED_TRACE("torn delta-0002 of " + std::to_string(size) + " bytes");
+    write_prefix(delta_path(2), delta_image, size);
+    EXPECT_THROW(load_epoch_files(base_path_), FormatError);
+  }
 }
 
 }  // namespace

@@ -171,10 +171,9 @@ TEST(EnrollmentCache, BoundsItsSizeAndEvictsLeastRecentlyUsed) {
   EnrollmentCache cache(3);  // < 64: one shard, exact LRU order
   EXPECT_EQ(cache.capacity(), 3u);
   const auto entry = [](std::size_t pairs) {
-    auto e = std::make_shared<CachedLookup>();
-    e->enrollment.emplace();
-    e->enrollment->layout.pair_count = pairs;
-    return std::shared_ptr<const CachedLookup>(std::move(e));
+    auto e = std::make_shared<VerifierRecord>();
+    e->bits = BitVec(pairs);
+    return std::shared_ptr<const VerifierRecord>(std::move(e));
   };
   cache.put(1, entry(1));
   cache.put(2, entry(2));
@@ -192,7 +191,7 @@ TEST(EnrollmentCache, BoundsItsSizeAndEvictsLeastRecentlyUsed) {
 TEST(EnrollmentCache, ZeroCapacityDisablesCaching) {
   EnrollmentCache cache(0);
   EXPECT_EQ(cache.capacity(), 0u);
-  cache.put(1, std::make_shared<const CachedLookup>());
+  cache.put(1, std::make_shared<const VerifierRecord>());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.get(1), nullptr);
 }
@@ -215,7 +214,7 @@ TEST(EnrollmentCache, ShardedCapacityNeverExceedsTheConfiguredTotal) {
   EnrollmentCache cache(64);  // 8 shards x 8 entries
   EXPECT_EQ(cache.capacity(), 64u);
   for (std::uint64_t id = 1; id <= 1000; ++id) {
-    cache.put(id, std::make_shared<const CachedLookup>());
+    cache.put(id, std::make_shared<const VerifierRecord>());
   }
   EXPECT_LE(cache.size(), 64u);
   EXPECT_GT(cache.size(), 0u);
@@ -227,7 +226,7 @@ TEST(EnrollmentCache, UnevenCapacityIsHonoredExactly) {
   EnrollmentCache cache(100);
   EXPECT_EQ(cache.capacity(), 100u);
   for (std::uint64_t id = 1; id <= 4000; ++id) {
-    cache.put(id, std::make_shared<const CachedLookup>());
+    cache.put(id, std::make_shared<const VerifierRecord>());
   }
   // Enough keys that every shard saw more inserts than its bound, so the
   // cache sits exactly at (not merely below) the configured capacity.
@@ -292,14 +291,12 @@ TEST(AuthService, NegativeCachingAnswersRepeatCorruptAndUnknownFromTheCache) {
 }
 
 TEST(AuthService, UnknownDeviceSprayCannotEvictEnrolledEntries) {
-  // Unknown-device outcomes are drawn from the whole u64 key space, so they
-  // are cached in their own (smaller) LRU: spraying random never-enrolled
-  // ids competes only with other unknowns, and an enrolled device cached
-  // before the spray is still answered without touching the registry after
-  // it.
+  // Unknown ids are drawn from the whole u64 key space, so they are never
+  // cached: spraying random never-enrolled ids evicts nothing, and an
+  // enrolled device cached before the spray is still answered without
+  // touching the registry after it.
   const auto registry = test_registry();
   AuthServiceOptions options = small_options();
-  options.unknown_cache_capacity = 4;
   const registry::EpochRegistry epochs(registry);
   const AuthService service(&epochs, options);
 
@@ -308,14 +305,13 @@ TEST(AuthService, UnknownDeviceSprayCannotEvictEnrolledEntries) {
   EXPECT_EQ(service.verify(legit).status, AuthStatus::kAccept);
   const std::size_t cached_before = service.cache_size();
 
-  // Spray far past both caches' capacities. Small ids never collide with
+  // Spray far past the cache's capacity. Small ids never collide with
   // the registry's SplitMix64-minted ids (asserted, not assumed).
   for (std::uint64_t spray = 1; spray <= 100; ++spray) {
     ASSERT_FALSE(registry.contains(spray));
     EXPECT_EQ(service.verify(AuthRequest{spray, 42, BitVec(8)}).status,
               AuthStatus::kUnknownDevice);
   }
-  EXPECT_LE(service.unknown_cache_size(), options.unknown_cache_capacity);
   EXPECT_EQ(service.cache_size(), cached_before);
 
   obs::set_metrics_enabled(true);
@@ -325,6 +321,51 @@ TEST(AuthService, UnknownDeviceSprayCannotEvictEnrolledEntries) {
   EXPECT_EQ(service.verify(legit).status, AuthStatus::kAccept);
   obs::set_metrics_enabled(false);
   EXPECT_EQ(lookups.value(), lookups_before);  // served from the cache
+}
+
+TEST(AuthService, OneVerifierRecordServesBothProtocols) {
+  // A device's verifier record carries the enrolled bits (v1) and the
+  // derived key (v2), so a v1 verify followed by a v2 proof for the same
+  // device walks the registry index once and decodes its record once.
+  const auto registry = test_registry();
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, small_options());
+  AuthServiceOptions uncached_options = small_options();
+  uncached_options.cache_capacity = 0;
+  const AuthService uncached(&epochs, uncached_options);
+
+  const std::uint64_t id = registry.device_id_at(2);
+  const AuthRequest v1{id, 42, true_response(registry, id, 42, 8)};
+  const std::optional<crypto::Sha256Digest> key =
+      auth::derive_enrollment_key(registry.lookup(id));
+  ASSERT_TRUE(key.has_value());
+  ProofRequest v2;
+  v2.request_id = 7;
+  v2.device_id = id;
+  v2.nonce.fill(0x5a);
+  v2.tag = auth::prove(*key, v2.nonce, v2.request_id, id);
+
+  obs::set_metrics_enabled(true);
+  static obs::Counter& lookups =
+      obs::Registry::instance().counter("registry.lookups");
+  static obs::Counter& decoded =
+      obs::Registry::instance().counter("registry.records_decoded");
+  const std::uint64_t lookups_before = lookups.value();
+  const std::uint64_t decoded_before = decoded.value();
+  const AuthVerdict v1_verdict = service.verify(v1);
+  const AuthVerdict v2_verdict = service.verify_proof(v2);
+  const std::uint64_t lookups_moved = lookups.value() - lookups_before;
+  const std::uint64_t decoded_moved = decoded.value() - decoded_before;
+  obs::set_metrics_enabled(false);
+
+  EXPECT_EQ(lookups_moved, 1u);
+  EXPECT_EQ(decoded_moved, 1u);
+  EXPECT_EQ(v1_verdict.status, AuthStatus::kAccept);
+  EXPECT_EQ(v2_verdict.status, AuthStatus::kAccept);
+  const AuthVerdict v1_uncached = uncached.verify(v1);
+  const AuthVerdict v2_uncached = uncached.verify_proof(v2);
+  EXPECT_EQ(verdict_digest({v1_verdict, v2_verdict}),
+            verdict_digest({v1_uncached, v2_uncached}));
 }
 
 // -------------------------------------------------------------- determinism

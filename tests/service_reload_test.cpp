@@ -13,8 +13,8 @@
 //      per-epoch expected verdicts is order-sensitive by construction);
 //  (c) a batch pins ONE snapshot: a swap racing a long verify_batch may
 //      land before or after the pin, but never splits the batch;
-//  (d) caches cannot answer across a swap (service.cache_stale /
-//      service.unknown_cache_stale pin the eviction), and
+//  (d) caches cannot answer across a swap (service.cache_stale pins the
+//      eviction), and
 //  (e) the re-enrollment loop closes: a device whose silicon drifted away
 //      from its aged enrollment streaks into the queue, gets re-measured
 //      through the oracle, and authenticates again once its delta lands.
@@ -289,13 +289,11 @@ TEST(EpochSwapCache, StaleEntriesNeverAnswerAfterTheSwap) {
   obs::set_metrics_enabled(true);
   obs::Registry& metrics = obs::Registry::instance();
   obs::Counter& cache_stale = metrics.counter("service.cache_stale");
-  obs::Counter& unknown_stale = metrics.counter("service.unknown_cache_stale");
 
   const registry::Registry base = small_registry();
   registry::EpochRegistry epochs(base);
   service::AuthServiceOptions options;
   options.cache_capacity = 64;
-  options.unknown_cache_capacity = 16;
   const service::AuthService svc(&epochs, options);
 
   const std::uint64_t refreshed = base.device_id_at(0);
@@ -304,7 +302,7 @@ TEST(EpochSwapCache, StaleEntriesNeverAnswerAfterTheSwap) {
   const std::uint64_t latecomer = 0xbeef;
   const puf::ConfigurableEnrollment late_enrollment = fresh_enrollment(0x1a7e);
 
-  // Populate both caches under epoch 1.
+  // Resolve both ids under epoch 1.
   EXPECT_EQ(svc.verify(request_for(aged, refreshed, 1, options.response_bits)).status,
             service::AuthStatus::kAccept);
   EXPECT_EQ(svc.verify(request_for(late_enrollment, latecomer, 2,
@@ -312,10 +310,8 @@ TEST(EpochSwapCache, StaleEntriesNeverAnswerAfterTheSwap) {
                 .status,
             service::AuthStatus::kUnknownDevice);
   ASSERT_GE(svc.cache_size(), 1u);
-  ASSERT_GE(svc.unknown_cache_size(), 1u);
 
   const std::uint64_t stale_before = cache_stale.value();
-  const std::uint64_t unknown_stale_before = unknown_stale.value();
 
   // Epoch 2 replaces one record and enrolls the other id.
   registry::DeltaBuilder swap;
@@ -328,16 +324,15 @@ TEST(EpochSwapCache, StaleEntriesNeverAnswerAfterTheSwap) {
   // against the refreshed record...
   EXPECT_EQ(svc.verify(request_for(aged, refreshed, 1, options.response_bits)).status,
             service::AuthStatus::kReject);
-  // ...and the cached unknown-device outcome must not shadow the new
+  // ...and the epoch-1 unknown-device answer must not shadow the new
   // enrollment.
   EXPECT_EQ(svc.verify(request_for(late_enrollment, latecomer, 2,
                                    options.response_bits))
                 .status,
             service::AuthStatus::kAccept);
-  // The swap-invalidation contract is observable: both stale counters
+  // The swap-invalidation contract is observable: the stale counter
   // moved.
   EXPECT_EQ(cache_stale.value(), stale_before + 1);
-  EXPECT_EQ(unknown_stale.value(), unknown_stale_before + 1);
 
   // Re-resolved entries answer from cache again at the new epoch — a
   // genuine current-enrollment prover accepts twice in a row.

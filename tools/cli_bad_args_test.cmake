@@ -26,3 +26,25 @@ endif()
 if(NOT err MATCHES "non-numeric value 'nope' for --streams")
   message(FATAL_ERROR "missing non-numeric diagnostic: ${err}")
 endif()
+
+# Out-of-range numbers must fail the flag parse instead of being cast to
+# another value. Each ropuf_serve case has a timeout: a server that accepted
+# the flag would serve until killed, and must fail the test, not hang it.
+function(expect_range_error label pattern)
+  execute_process(COMMAND ${ARGN} TIMEOUT 20
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "${label} was not rejected (result '${rc}'): ${out}${err}")
+  endif()
+  if(NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "missing range diagnostic for ${label}: ${err}")
+  endif()
+endfunction()
+
+expect_range_error("ropuf_serve --port 70000"
+                   "--port must be a non-negative integer <= 65535"
+                   ${SERVE} --devices 8 --port 70000)
+expect_range_error("ropuf_serve --bits -3" "--bits must be a non-negative integer"
+                   ${SERVE} --devices 8 --bits -3)
+expect_range_error("auth-batch --cache -1" "--cache must be a non-negative integer"
+                   ${CLI} auth-batch --devices 8 --cache -1)

@@ -124,15 +124,30 @@ class ObsSession {
   std::string trace_path_;
 };
 
+/// Strict non-negative-integer option (sizes, bounds, ports): rejects
+/// negative, fractional and out-of-range values eagerly instead of casting
+/// them to an unsigned or narrower type, which is undefined behaviour.
+inline std::uint64_t count_arg(const Args& args, const std::string& key, double fallback,
+                               std::uint64_t max = UINT64_MAX) {
+  const double value = args.number(key, fallback);
+  // 0x1p64 is the first double past the u64 range, so the cast below only
+  // ever sees a value it can represent.
+  ROPUF_REQUIRE(value >= 0.0 && value == std::floor(value) && value < 0x1p64 &&
+                    static_cast<std::uint64_t>(value) <= max,
+                "--" + key + " must be a non-negative integer" +
+                    (max == UINT64_MAX ? "" : " <= " + std::to_string(max)));
+  return static_cast<std::uint64_t>(value);
+}
+
 /// Shared fleet-minting knobs for the registry/service commands. The spec
 /// identifies its fleet exactly, so the same options always reproduce the
 /// same registry bytes regardless of --threads.
 inline registry::FleetSpec fleet_spec_from_args(const Args& args) {
   registry::FleetSpec spec;
-  spec.devices = static_cast<std::size_t>(args.number("devices", 256));
+  spec.devices = static_cast<std::size_t>(count_arg(args, "devices", 256));
   ROPUF_REQUIRE(spec.devices >= 1, "--devices must be >= 1");
-  spec.stages = static_cast<std::size_t>(args.number("stages", 5));
-  spec.pairs = static_cast<std::size_t>(args.number("pairs", 16));
+  spec.stages = static_cast<std::size_t>(count_arg(args, "stages", 5));
+  spec.pairs = static_cast<std::size_t>(count_arg(args, "pairs", 16));
   const std::string mode_name = args.get("mode", "case2");
   ROPUF_REQUIRE(mode_name == "case1" || mode_name == "case2", "mode must be case1|case2");
   spec.mode = mode_name == "case1" ? puf::SelectionCase::kSameConfig
@@ -152,17 +167,6 @@ inline registry::Registry registry_from_args(const Args& args) {
       registry::build_fleet_registry(fleet_spec_from_args(args)));
 }
 
-/// Strict non-negative-integer option (admission knobs, bounds): rejects
-/// negative and fractional values eagerly instead of wrapping them through
-/// an unsigned cast.
-inline std::uint64_t count_arg(const Args& args, const std::string& key,
-                               double fallback) {
-  const double value = args.number(key, fallback);
-  ROPUF_REQUIRE(value >= 0.0 && value == std::floor(value),
-                "--" + key + " must be a non-negative integer");
-  return static_cast<std::uint64_t>(value);
-}
-
 /// Strict on|off option.
 inline bool switch_arg(const Args& args, const std::string& key, bool fallback) {
   const std::string value = args.get(key, fallback ? "on" : "off");
@@ -178,11 +182,9 @@ inline bool switch_arg(const Args& args, const std::string& key, bool fallback) 
 /// detector only bites when admission knobs are configured too).
 inline service::AuthServiceOptions auth_options_from_args(const Args& args) {
   service::AuthServiceOptions opts;
-  opts.response_bits = static_cast<std::size_t>(args.number("bits", 16));
-  opts.max_distance = static_cast<std::size_t>(args.number("max-hd", 2));
-  opts.cache_capacity = static_cast<std::size_t>(args.number("cache", 4096));
-  opts.unknown_cache_capacity =
-      static_cast<std::size_t>(args.number("unknown-cache", 256));
+  opts.response_bits = static_cast<std::size_t>(count_arg(args, "bits", 16));
+  opts.max_distance = static_cast<std::size_t>(count_arg(args, "max-hd", 2));
+  opts.cache_capacity = static_cast<std::size_t>(count_arg(args, "cache", 4096));
   opts.admission.rate_burst = count_arg(args, "rate-burst", 0);
   opts.admission.rate_interval = count_arg(args, "rate-interval", 0);
   opts.admission.crp_budget = count_arg(args, "crp-budget", 0);

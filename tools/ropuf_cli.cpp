@@ -595,7 +595,7 @@ int cmd_auth_client(const Args& args) {
 
   net::ClientOptions client_opts;
   client_opts.host = args.get("host", "127.0.0.1");
-  client_opts.port = static_cast<std::uint16_t>(args.number("port", 0));
+  client_opts.port = static_cast<std::uint16_t>(count_arg(args, "port", 0, 65535));
   client_opts.window = static_cast<std::size_t>(args.number("window", 128));
   net::AuthClient client(client_opts);
   client.connect();
@@ -666,8 +666,7 @@ int usage() {
                "usage: ropuf_cli <command> [--option value ...]\n"
                "commands (alphabetical):\n"
                "  auth-batch [--registry F | --devices N --seed S ...] [--requests N]\n"
-               "          [--bits B] [--max-hd D] [--cache C] [--unknown-cache C]\n"
-               "          [--flip-rate R]\n"
+               "          [--bits B] [--max-hd D] [--cache C] [--flip-rate R]\n"
                "          [--forge-rate R] [--unknown-rate R] [--workload-seed S]\n"
                "          [--fault-rate R] [--fault-seed S]\n"
                "          [--rate-burst N --rate-interval T] [--crp-budget N]\n"

@@ -9,7 +9,7 @@
 //   ropuf_serve [--registry F | --devices N --seed S ...]
 //               [--registry-watch on|off]
 //               [--bind A] [--port P] [--port-file F]
-//               [--bits B] [--max-hd D] [--cache C] [--unknown-cache C]
+//               [--bits B] [--max-hd D] [--cache C]
 //               [--rate-burst N --rate-interval T] [--crp-budget N]
 //               [--reuse-budget N] [--challenge-sketch N]
 //               [--admission-devices N] [--reenroll-threshold N]
@@ -39,6 +39,7 @@
 // splitting an in-flight batch (registry/epoch.h). A failed reload — file
 // missing or corrupt mid-rewrite — keeps the current epoch serving and is
 // reported on stdout and in net.reload_failures.
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -98,17 +99,20 @@ int serve(const Args& args) {
   net::ServerOptions opts;
   opts.shards = shards;
   opts.bind_address = args.get("bind", "127.0.0.1");
-  opts.port = static_cast<std::uint16_t>(args.number("port", 0));
-  // count_arg rejects negative values eagerly; a negative bound must fail
-  // the flag parse, never wrap through an unsigned cast into a huge limit.
+  // count_arg rejects negative and out-of-range values eagerly; a bad bound
+  // must fail the flag parse, never wrap through a cast into another value.
+  opts.port = static_cast<std::uint16_t>(count_arg(args, "port", 0, 65535));
   opts.max_connections = static_cast<std::size_t>(count_arg(args, "max-connections", 256));
   opts.max_pending = static_cast<std::size_t>(count_arg(args, "max-pending", 1024));
   opts.max_batch = static_cast<std::size_t>(count_arg(args, "max-batch", 256));
   opts.max_read_per_sweep =
       static_cast<std::size_t>(count_arg(args, "max-read-per-sweep", 64 << 10));
-  opts.read_deadline_ms = static_cast<int>(args.number("read-deadline-ms", 5000));
-  opts.accept_backoff_ms = static_cast<int>(args.number("accept-backoff-ms", 100));
-  opts.drain_timeout_ms = static_cast<int>(args.number("drain-timeout-ms", 2000));
+  opts.read_deadline_ms =
+      static_cast<int>(count_arg(args, "read-deadline-ms", 5000, INT_MAX));
+  opts.accept_backoff_ms =
+      static_cast<int>(count_arg(args, "accept-backoff-ms", 100, INT_MAX));
+  opts.drain_timeout_ms =
+      static_cast<int>(count_arg(args, "drain-timeout-ms", 2000, INT_MAX));
   // v2 challenge nonces; the deterministic default serves reproducible test
   // harnesses, a production operator passes something unpredictable.
   if (args.has("nonce-seed")) {
@@ -182,7 +186,6 @@ int usage() {
                "                   [--registry-watch on|off]\n"
                "                   [--bind A] [--port P] [--port-file F]\n"
                "                   [--bits B] [--max-hd D] [--cache C]\n"
-               "                   [--unknown-cache C]\n"
                "                   [--rate-burst N --rate-interval T]\n"
                "                   [--crp-budget N] [--reuse-budget N]\n"
                "                   [--challenge-sketch N] [--admission-devices N]\n"

@@ -9,7 +9,7 @@
 // attacker accuracy vs. admitted queries and legitimate availability.
 //
 //   ropuf_soak [--devices N] [--stages N] [--pairs P] [--seed S] [--noise PS]
-//              [--bits B] [--max-hd D] [--cache C] [--unknown-cache C]
+//              [--bits B] [--max-hd D] [--cache C]
 //              [--rate-burst N --rate-interval T] [--crp-budget N]
 //              [--reuse-budget N] [--challenge-sketch N] [--admission-devices N]
 //              [--detector on|off] [--detector-window N] [--detector-threshold N]
