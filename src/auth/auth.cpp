@@ -1,5 +1,6 @@
 #include "auth/auth.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
@@ -27,16 +28,14 @@ const crypto::CyclicCode& bch157() {
 }
 
 /// Helper geometry a verifier can trust: right code, every block exactly
-/// n bits, at least one block, and the enrolled response long enough to
-/// cover them.
-bool helper_is_consistent(const puf::ConfigurableEnrollment& enrollment,
+/// n bits, at least one block, and a response long enough to cover them.
+bool helper_is_consistent(const std::vector<BitVec>& helper, std::size_t response_bits,
                           const crypto::CyclicCode& code) {
-  if (enrollment.auth_helper.empty()) return false;
-  for (const BitVec& block : enrollment.auth_helper) {
+  if (helper.empty()) return false;
+  for (const BitVec& block : helper) {
     if (block.size() != code.n()) return false;
   }
-  return enrollment.layout.pair_count >=
-         enrollment.auth_helper.size() * code.n();
+  return response_bits >= helper.size() * code.n();
 }
 
 /// nonce || request_id || device_id, ids little-endian — the exact bytes
@@ -95,33 +94,40 @@ void provision_auth(puf::ConfigurableEnrollment& enrollment, Rng& rng) {
   enrollment.auth_key_check = crypto::sha256(fuzzy.key.data(), fuzzy.key.size());
 }
 
-std::optional<crypto::Sha256Digest> derive_enrollment_key(
-    const puf::ConfigurableEnrollment& enrollment) {
-  const crypto::CyclicCode* code = code_for_id(enrollment.auth_code_id);
-  if (code == nullptr || !helper_is_consistent(enrollment, *code)) {
+std::optional<crypto::Sha256Digest> derive_key(const BitVec& response,
+                                               const AuthMaterial& material) {
+  const crypto::CyclicCode* code = code_for_id(material.code_id);
+  if (code == nullptr || !helper_is_consistent(material.helper, response.size(), *code)) {
     return std::nullopt;
   }
   const crypto::FuzzyExtractor extractor(code);
   // Zero errors against the enrollment-time response: Rep recovers the
   // enrolled key exactly, or the helper bytes were tampered with.
   const std::optional<crypto::Sha256Digest> key =
-      extractor.reproduce(enrollment.response(), enrollment.auth_helper);
+      extractor.reproduce(response, material.helper);
   if (!key.has_value()) return std::nullopt;
   const crypto::Sha256Digest check = crypto::sha256(key->data(), key->size());
-  if (!constant_time_equal(check.data(), enrollment.auth_key_check.data(),
-                           check.size())) {
+  if (!constant_time_equal(check.data(), material.key_check.data(), check.size())) {
     return std::nullopt;
   }
   return key;
 }
 
+std::optional<crypto::Sha256Digest> derive_enrollment_key(
+    const puf::ConfigurableEnrollment& enrollment) {
+  return derive_key(enrollment.response(),
+                    AuthMaterial{enrollment.auth_code_id, enrollment.auth_helper,
+                                 enrollment.auth_key_check});
+}
+
 std::optional<crypto::Sha256Digest> recover_key(
     const BitVec& noisy_response, const puf::ConfigurableEnrollment& enrollment) {
   const crypto::CyclicCode* code = code_for_id(enrollment.auth_code_id);
-  if (code == nullptr || !helper_is_consistent(enrollment, *code)) {
-    return std::nullopt;
-  }
-  if (noisy_response.size() < enrollment.auth_helper.size() * code->n()) {
+  // The helper must fit both the enrolled response and the re-measurement.
+  const std::size_t response_bits =
+      std::min(enrollment.layout.pair_count, noisy_response.size());
+  if (code == nullptr ||
+      !helper_is_consistent(enrollment.auth_helper, response_bits, *code)) {
     return std::nullopt;
   }
   const crypto::FuzzyExtractor extractor(code);

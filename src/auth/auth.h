@@ -9,10 +9,10 @@
 //                blocks + a derived key. The registry record carries the
 //                helper and SHA-256(key) (a key check value) — never the
 //                key itself.
-//   server       derive_enrollment_key() re-runs Rep on the *clean*
-//                enrollment response (zero errors, exact recovery) and
-//                cross-checks the KCV, so corrupt helper material surfaces
-//                as a detectable failure instead of a garbage key.
+//   server       derive_key() re-runs Rep on the *clean* enrollment
+//                response (zero errors, exact recovery) and cross-checks
+//                the KCV, so corrupt helper material surfaces as a
+//                detectable failure instead of a garbage key.
 //   prover       recover_key() runs Rep on the noisy re-measurement; within
 //                the code's correction radius the same key comes back.
 //   exchange     the server sends a fresh nonce; the prover returns
@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "common/rng.h"
@@ -69,11 +70,32 @@ std::uint8_t code_id_for_pairs(std::size_t pair_count);
 /// device so existing fleet streams stay bit-identical.
 void provision_auth(puf::ConfigurableEnrollment& enrollment, Rng& rng);
 
+/// A record's at-rest v2 auth material, exactly as the registry stores it
+/// (docs/registry.md): the code id, the helper blocks and the key check
+/// value. Verifier records keep this much of an enrollment and derive the
+/// key from it only when a v2 proof first needs one.
+struct AuthMaterial {
+  std::uint8_t code_id = kCodeNone;
+  std::vector<BitVec> helper;
+  std::array<std::uint8_t, 32> key_check{};
+
+  /// Whether the record carries v2 auth material.
+  bool provisioned() const { return !helper.empty(); }
+  /// Response bits the helper blocks cover (block count x block width).
+  std::size_t covered_bits() const {
+    return helper.empty() ? 0 : helper.size() * helper.front().size();
+  }
+};
+
 /// Server-side key derivation: Rep over the clean enrollment response plus
 /// the stored helper, cross-checked against the key check value. nullopt
-/// when the record is unprovisioned, the code id is unknown, the helper
+/// when the material is unprovisioned, the code id is unknown, the helper
 /// geometry is inconsistent, or the KCV does not match — all of which a
 /// verifier reports as a corrupt record.
+std::optional<crypto::Sha256Digest> derive_key(const BitVec& response,
+                                               const AuthMaterial& material);
+
+/// derive_key over an enrollment's response and auth fields.
 std::optional<crypto::Sha256Digest> derive_enrollment_key(
     const puf::ConfigurableEnrollment& enrollment);
 

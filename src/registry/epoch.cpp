@@ -113,24 +113,38 @@ bool DeltaSegment::tombstone_at(std::size_t i) const {
   return read_u64_at(bytes_, index_entry_offset(i) + 16) == 0;
 }
 
-puf::ConfigurableEnrollment DeltaSegment::enrollment_at(std::size_t i) const {
-  ROPUF_REQUIRE(!tombstone_at(i), "delta entry " + std::to_string(i) +
-                                      " is a tombstone, not a record");
+std::string_view DeltaSegment::payload_at(std::size_t i) const {
   const std::size_t entry = index_entry_offset(i);
   const std::uint64_t offset = read_u64_at(bytes_, entry + 8);
   const std::uint64_t size = read_u64_at(bytes_, entry + 16);
-  return decode_enrollment_record(bytes_.substr(records_offset_ + offset, size));
+  return bytes_.substr(records_offset_ + offset, size);
+}
+
+puf::ConfigurableEnrollment DeltaSegment::enrollment_at(std::size_t i) const {
+  ROPUF_REQUIRE(!tombstone_at(i), "delta entry " + std::to_string(i) +
+                                      " is a tombstone, not a record");
+  return decode_enrollment_record(payload_at(i));
+}
+
+DeltaSegment::Hit DeltaSegment::find_payload(std::uint64_t device_id,
+                                             std::string_view* payload) const {
+  const std::size_t position =
+      find_index_position(bytes_, index_offset_, entry_count_, device_id);
+  if (position == kIndexNpos) return Hit::kMiss;
+  if (tombstone_at(position)) return Hit::kTombstone;
+  if (payload != nullptr) *payload = payload_at(position);
+  return Hit::kUpsert;
 }
 
 DeltaSegment::Hit DeltaSegment::find(
     std::uint64_t device_id,
     std::optional<puf::ConfigurableEnrollment>* enrollment) const {
-  const std::size_t position =
-      find_index_position(bytes_, index_offset_, entry_count_, device_id);
-  if (position == kIndexNpos) return Hit::kMiss;
-  if (tombstone_at(position)) return Hit::kTombstone;
-  if (enrollment != nullptr) *enrollment = enrollment_at(position);
-  return Hit::kUpsert;
+  std::string_view payload;
+  const Hit hit = find_payload(device_id, &payload);
+  if (hit == Hit::kUpsert && enrollment != nullptr) {
+    *enrollment = decode_enrollment_record(payload);
+  }
+  return hit;
 }
 
 // ---------------------------------------------------------------- snapshot
@@ -165,16 +179,16 @@ bool RegistrySnapshot::contains(std::uint64_t device_id) const {
   return std::binary_search(live_ids_.begin(), live_ids_.end(), device_id);
 }
 
-std::optional<puf::ConfigurableEnrollment> RegistrySnapshot::find(
+std::optional<std::string_view> RegistrySnapshot::find_payload(
     std::uint64_t device_id) const {
   static obs::Counter& delta_hits =
       obs::Registry::instance().counter("registry.delta_hits");
   for (auto it = deltas_.rbegin(); it != deltas_.rend(); ++it) {
-    std::optional<puf::ConfigurableEnrollment> enrollment;
-    switch (it->find(device_id, &enrollment)) {
+    std::string_view payload;
+    switch (it->find_payload(device_id, &payload)) {
       case DeltaSegment::Hit::kUpsert:
         delta_hits.add(1);
-        return enrollment;
+        return payload;
       case DeltaSegment::Hit::kTombstone:
         delta_hits.add(1);
         return std::nullopt;
@@ -182,7 +196,14 @@ std::optional<puf::ConfigurableEnrollment> RegistrySnapshot::find(
         break;
     }
   }
-  return base_.find(device_id);
+  return base_.find_payload(device_id);
+}
+
+std::optional<puf::ConfigurableEnrollment> RegistrySnapshot::find(
+    std::uint64_t device_id) const {
+  const std::optional<std::string_view> payload = find_payload(device_id);
+  if (!payload.has_value()) return std::nullopt;
+  return decode_enrollment_record(*payload);
 }
 
 // -------------------------------------------------------------- compaction

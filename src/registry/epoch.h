@@ -37,6 +37,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -113,8 +114,12 @@ class DeltaSegment {
   /// tombstone, FormatError(kBadRecord) for an inconsistent payload.
   puf::ConfigurableEnrollment enrollment_at(std::size_t i) const;
 
-  /// O(log n) lookup. On kUpsert the enrollment is written to *enrollment
-  /// when the pointer is non-null.
+  /// O(log n) lookup. On kUpsert the record payload (a view into this
+  /// segment's bytes) is written to *payload when the pointer is non-null.
+  Hit find_payload(std::uint64_t device_id, std::string_view* payload) const;
+
+  /// find_payload, then a decode: on kUpsert the enrollment is written to
+  /// *enrollment when the pointer is non-null.
   Hit find(std::uint64_t device_id,
            std::optional<puf::ConfigurableEnrollment>* enrollment) const;
 
@@ -123,6 +128,8 @@ class DeltaSegment {
   /// Shared validation behind from_bytes and load_file.
   static DeltaSegment adopt(std::shared_ptr<const void> owner, std::string_view bytes);
   std::size_t index_entry_offset(std::size_t i) const;
+  /// Record payload of entry i (empty for a tombstone).
+  std::string_view payload_at(std::size_t i) const;
 
   std::shared_ptr<const void> owner_;  ///< keeps the mapping/buffer alive
   std::string_view bytes_;
@@ -152,9 +159,13 @@ class RegistrySnapshot {
   bool contains(std::uint64_t device_id) const;
 
   /// Overlay lookup: newest delta that mentions the device wins; a
-  /// tombstone hides any older record. nullopt when the device never
-  /// resolved or is retired; FormatError(kBadRecord) propagates from the
-  /// winning record's decode.
+  /// tombstone hides any older record. The winning record's payload (a
+  /// view into a segment this snapshot holds), or nullopt when the device
+  /// never resolved or is retired.
+  std::optional<std::string_view> find_payload(std::uint64_t device_id) const;
+
+  /// find_payload, then a decode. FormatError(kBadRecord) propagates from
+  /// the winning record's decode.
   std::optional<puf::ConfigurableEnrollment> find(std::uint64_t device_id) const;
 
  private:

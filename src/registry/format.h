@@ -146,6 +146,11 @@ class ByteReader {
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
+  /// Steps over `n` bytes (same overrun rule as the reads).
+  void skip(std::size_t n) {
+    need(n);
+    pos_ += n;
+  }
 
   std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return bytes_.size() - pos_; }

@@ -126,6 +126,93 @@ std::size_t auth_tail_bytes(std::size_t block_count, std::size_t block_bits) {
   return 4 + block_count * bit_words(block_bits) * 8 + 32;
 }
 
+FormatError bad_record(const std::string& what) {
+  return FormatError(Defect::kBadRecord, what);
+}
+
+/// A record's checked 16-byte prefix.
+struct RecordPrefix {
+  std::uint8_t mode = 0;
+  bool has_helper = false;
+  bool has_auth = false;
+  std::size_t stages = 0;
+  std::size_t pairs = 0;
+};
+
+/// Reads the prefix off `reader` and checks everything it fixes: mode byte,
+/// helper flag, flag bits, stage and pair bounds, and the payload size
+/// (exactly the v1 columns, or at least them when an auth tail follows).
+/// Both record readers start here, so they agree on every column offset.
+RecordPrefix read_record_prefix(ByteReader& reader, std::size_t payload_size) {
+  const std::uint8_t mode = reader.u8();
+  const std::uint8_t helper_flag = reader.u8();
+  const std::uint16_t flags = reader.u16();
+  const std::uint32_t stages = reader.u32();
+  const std::uint32_t pairs = reader.u32();
+  reader.u32();  // reserved
+
+  if (mode > 1) throw bad_record("mode byte must be 0 (case1) or 1 (case2)");
+  if (helper_flag > 1) throw bad_record("helper flag must be 0 or 1");
+  if ((flags & ~kFlagHasAuth) != 0) {
+    throw bad_record("unknown record flag bits 0x" + std::to_string(flags));
+  }
+  if (stages == 0 || stages > kMaxStages) throw bad_record("implausible stage count");
+  if (pairs == 0 || pairs > kMaxPairs) throw bad_record("implausible pair count");
+  RecordPrefix prefix{mode, helper_flag == 1, (flags & kFlagHasAuth) != 0, stages, pairs};
+  const std::size_t base_bytes = record_payload_bytes(stages, pairs, prefix.has_helper);
+  if (prefix.has_auth ? payload_size < base_bytes : payload_size != base_bytes) {
+    throw bad_record("payload is " + std::to_string(payload_size) + " bytes, layout " +
+                     std::to_string(stages) + "x" + std::to_string(pairs) + " needs " +
+                     std::to_string(base_bytes) +
+                     (prefix.has_auth ? " plus an auth tail" : ""));
+  }
+  return prefix;
+}
+
+/// One word-aligned bit column of `bits` bits.
+BitVec read_bit_column(ByteReader& reader, std::size_t bits) {
+  BitUnpacker unpacker(reader);
+  BitVec column(bits);
+  for (std::size_t b = 0; b < bits; ++b) column.set(b, unpacker.pull());
+  return column;
+}
+
+/// One f64 that must be finite (margins and helper offsets).
+double read_finite(ByteReader& reader, const char* what) {
+  const double value = reader.f64();
+  if (!std::isfinite(value)) throw bad_record(what);
+  return value;
+}
+
+/// The v2 auth tail after the v1 columns: geometry checked against the
+/// enrolled pair count and against the bytes left, then the helper blocks
+/// and the key check value.
+auth::AuthMaterial read_auth_tail(ByteReader& reader, std::size_t pairs) {
+  auth::AuthMaterial material;
+  material.code_id = reader.u8();
+  const std::uint8_t block_count = reader.u8();
+  const std::uint16_t block_bits = reader.u16();
+  if (material.code_id == 0) throw bad_record("auth flag set with code id 0");
+  if (block_count == 0 || block_bits == 0) {
+    throw bad_record("implausible auth helper geometry");
+  }
+  if (static_cast<std::size_t>(block_count) * block_bits > pairs) {
+    throw bad_record("auth helper wider than the enrolled response");
+  }
+  const std::size_t tail_bytes = auth_tail_bytes(block_count, block_bits) - 4;
+  if (reader.remaining() != tail_bytes) {
+    throw bad_record("auth tail is " + std::to_string(reader.remaining()) +
+                     " bytes past its geometry, " + std::to_string(block_count) + "x" +
+                     std::to_string(block_bits) + " needs " + std::to_string(tail_bytes));
+  }
+  material.helper.reserve(block_count);
+  for (std::size_t b = 0; b < block_count; ++b) {
+    material.helper.push_back(read_bit_column(reader, block_bits));
+  }
+  for (std::uint8_t& byte : material.key_check) byte = reader.u8();
+  return material;
+}
+
 }  // namespace
 
 void encode_enrollment_record(ByteWriter& writer,
@@ -180,35 +267,13 @@ puf::ConfigurableEnrollment decode_enrollment_record(std::string_view payload) {
   decoded.add(1);
 
   ByteReader reader(payload, Defect::kBadRecord);
-  const std::uint8_t mode = reader.u8();
-  const std::uint8_t helper_flag = reader.u8();
-  const std::uint16_t flags = reader.u16();
-  const std::uint32_t stages = reader.u32();
-  const std::uint32_t pairs = reader.u32();
-  reader.u32();  // reserved
-
-  auto bad = [](const std::string& what) -> FormatError {
-    return FormatError(Defect::kBadRecord, what);
-  };
-  if (mode > 1) throw bad("mode byte must be 0 (case1) or 1 (case2)");
-  if (helper_flag > 1) throw bad("helper flag must be 0 or 1");
-  if ((flags & ~kFlagHasAuth) != 0) {
-    throw bad("unknown record flag bits 0x" + std::to_string(flags));
-  }
-  if (stages == 0 || stages > kMaxStages) throw bad("implausible stage count");
-  if (pairs == 0 || pairs > kMaxPairs) throw bad("implausible pair count");
-  const bool has_helper = helper_flag == 1;
-  const bool has_auth = (flags & kFlagHasAuth) != 0;
-  const std::size_t base_bytes = record_payload_bytes(stages, pairs, has_helper);
-  if (has_auth ? payload.size() < base_bytes : payload.size() != base_bytes) {
-    throw bad("payload is " + std::to_string(payload.size()) + " bytes, layout " +
-              std::to_string(stages) + "x" + std::to_string(pairs) + " needs " +
-              std::to_string(base_bytes) + (has_auth ? " plus an auth tail" : ""));
-  }
+  const RecordPrefix prefix = read_record_prefix(reader, payload.size());
+  const std::size_t stages = prefix.stages;
+  const std::size_t pairs = prefix.pairs;
 
   puf::ConfigurableEnrollment e;
-  e.mode = mode == 0 ? puf::SelectionCase::kSameConfig
-                     : puf::SelectionCase::kIndependent;
+  e.mode = prefix.mode == 0 ? puf::SelectionCase::kSameConfig
+                            : puf::SelectionCase::kIndependent;
   e.layout.stages = stages;
   e.layout.pair_count = pairs;
   e.selections.resize(pairs);
@@ -228,49 +293,50 @@ puf::ConfigurableEnrollment decode_enrollment_record(std::string_view payload) {
   unpacker.align();
   for (puf::Selection& sel : e.selections) sel.bit = unpacker.pull();
   unpacker.align();
-  if (has_helper) {
+  if (prefix.has_helper) {
     e.helper.resize(pairs);
     for (puf::PairHelperData& h : e.helper) h.masked = unpacker.pull();
     unpacker.align();
   }
   for (puf::Selection& sel : e.selections) {
-    sel.margin = reader.f64();
-    if (!std::isfinite(sel.margin)) throw bad("non-finite margin");
+    sel.margin = read_finite(reader, "non-finite margin");
   }
-  if (has_helper) {
+  if (prefix.has_helper) {
     for (puf::PairHelperData& h : e.helper) {
-      h.offset_ps = reader.f64();
-      if (!std::isfinite(h.offset_ps)) throw bad("non-finite helper offset");
+      h.offset_ps = read_finite(reader, "non-finite helper offset");
     }
   }
-  if (has_auth) {
-    e.auth_code_id = reader.u8();
-    const std::uint8_t block_count = reader.u8();
-    const std::uint16_t block_bits = reader.u16();
-    if (e.auth_code_id == 0) throw bad("auth flag set with code id 0");
-    if (block_count == 0 || block_bits == 0) {
-      throw bad("implausible auth helper geometry");
-    }
-    if (static_cast<std::size_t>(block_count) * block_bits > pairs) {
-      throw bad("auth helper wider than the enrolled response");
-    }
-    if (reader.remaining() != auth_tail_bytes(block_count, block_bits) - 4) {
-      throw bad("auth tail is " + std::to_string(reader.remaining()) +
-                " bytes past its geometry, " + std::to_string(block_count) + "x" +
-                std::to_string(block_bits) + " needs " +
-                std::to_string(auth_tail_bytes(block_count, block_bits) - 4));
-    }
-    e.auth_helper.resize(block_count);
-    for (BitVec& block : e.auth_helper) {
-      BitVec bits(block_bits);
-      for (std::size_t b = 0; b < block_bits; ++b) bits.set(b, unpacker.pull());
-      unpacker.align();
-      block = std::move(bits);
-    }
-    for (std::uint8_t& byte : e.auth_key_check) byte = reader.u8();
+  if (prefix.has_auth) {
+    auth::AuthMaterial material = read_auth_tail(reader, pairs);
+    e.auth_code_id = material.code_id;
+    e.auth_helper = std::move(material.helper);
+    e.auth_key_check = material.key_check;
   }
-  if (!reader.exhausted()) throw bad("trailing bytes after record payload");
+  if (!reader.exhausted()) throw bad_record("trailing bytes after record payload");
   return e;
+}
+
+VerifierFields read_verifier_fields(std::string_view payload) {
+  static obs::Counter& decoded =
+      obs::Registry::instance().counter("registry.records_decoded");
+  decoded.add(1);
+
+  // The same prefix checks and column walk as decode_enrollment_record;
+  // only the response column and the auth tail are kept.
+  ByteReader reader(payload, Defect::kBadRecord);
+  const RecordPrefix prefix = read_record_prefix(reader, payload.size());
+  const std::size_t pairs = prefix.pairs;
+  reader.skip(2 * bit_words(pairs * prefix.stages) * 8);  // top + bottom configs
+  VerifierFields fields;
+  fields.response = read_bit_column(reader, pairs);
+  if (prefix.has_helper) reader.skip(bit_words(pairs) * 8);  // dark-bit mask
+  for (std::size_t p = 0; p < pairs; ++p) read_finite(reader, "non-finite margin");
+  if (prefix.has_helper) {
+    for (std::size_t p = 0; p < pairs; ++p) read_finite(reader, "non-finite helper offset");
+  }
+  if (prefix.has_auth) fields.auth = read_auth_tail(reader, pairs);
+  if (!reader.exhausted()) throw bad_record("trailing bytes after record payload");
+  return fields;
 }
 
 void validate_enrollment(const puf::ConfigurableEnrollment& e) {
@@ -469,16 +535,26 @@ bool Registry::contains(std::uint64_t device_id) const {
   return index_position(device_id) != kIndexNpos;
 }
 
-std::optional<puf::ConfigurableEnrollment> Registry::find(
-    std::uint64_t device_id) const {
+std::string_view Registry::payload_at(std::size_t i) const {
+  const std::size_t entry = index_entry_offset(i);
+  const std::uint64_t offset = read_u64_at(bytes_, entry + 8);
+  const std::uint64_t size = read_u64_at(bytes_, entry + 16);
+  return bytes_.substr(records_offset_ + offset, size);
+}
+
+std::optional<std::string_view> Registry::find_payload(std::uint64_t device_id) const {
   static obs::Counter& lookups = obs::Registry::instance().counter("registry.lookups");
   lookups.add(1);
   const std::size_t position = index_position(device_id);
   if (position == kIndexNpos) return std::nullopt;
-  const std::size_t entry = index_entry_offset(position);
-  const std::uint64_t offset = read_u64_at(bytes_, entry + 8);
-  const std::uint64_t size = read_u64_at(bytes_, entry + 16);
-  return decode_enrollment_record(bytes_.substr(records_offset_ + offset, size));
+  return payload_at(position);
+}
+
+std::optional<puf::ConfigurableEnrollment> Registry::find(
+    std::uint64_t device_id) const {
+  const std::optional<std::string_view> payload = find_payload(device_id);
+  if (!payload.has_value()) return std::nullopt;
+  return decode_enrollment_record(*payload);
 }
 
 puf::ConfigurableEnrollment Registry::lookup(std::uint64_t device_id) const {
@@ -492,11 +568,7 @@ RegistryStats Registry::stats() const {
   RegistryStats stats;
   stats.devices = device_count_;
   for (std::size_t i = 0; i < device_count_; ++i) {
-    const std::size_t entry = index_entry_offset(i);
-    const std::uint64_t offset = read_u64_at(bytes_, entry + 8);
-    const std::uint64_t size = read_u64_at(bytes_, entry + 16);
-    const puf::ConfigurableEnrollment e =
-        decode_enrollment_record(bytes_.substr(records_offset_ + offset, size));
+    const puf::ConfigurableEnrollment e = decode_enrollment_record(payload_at(i));
     (e.mode == puf::SelectionCase::kSameConfig ? stats.case1_devices
                                                : stats.case2_devices) += 1;
     if (!e.helper.empty()) stats.helper_devices += 1;

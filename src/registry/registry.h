@@ -27,6 +27,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "auth/auth.h"
+#include "common/bitvec.h"
 #include "common/parallel.h"
 #include "puf/schemes.h"
 #include "registry/format.h"
@@ -47,8 +49,26 @@ inline constexpr std::uint32_t kFormatVersion = 2;
 void encode_enrollment_record(ByteWriter& writer, const puf::ConfigurableEnrollment& e);
 
 /// Decodes one record payload; throws FormatError(Defect::kBadRecord) on any
-/// internal inconsistency. The exact inverse of encode_enrollment_record.
+/// internal inconsistency. The exact inverse of encode_enrollment_record,
+/// and the reference read_verifier_fields is checked against.
 puf::ConfigurableEnrollment decode_enrollment_record(std::string_view payload);
+
+/// What a verifier reads from one record: the enrolled response (bit p =
+/// pair p's bit) and the v2 auth material (unprovisioned when the record
+/// carries no auth tail).
+struct VerifierFields {
+  BitVec response;
+  auth::AuthMaterial auth;
+};
+
+/// The verifier's record reader: takes the response column and the auth
+/// tail straight from the payload bytes. Configuration columns, margins and
+/// helper data are checked but never materialized. Throws
+/// FormatError(Defect::kBadRecord) on exactly the payloads
+/// decode_enrollment_record rejects; on the rest, `response` equals the
+/// decoded enrollment's response() and `auth` its auth fields. Counts under
+/// registry.records_decoded like the reference decoder.
+VerifierFields read_verifier_fields(std::string_view payload);
 
 /// Structural validation of an enrollment about to be encoded (consistent
 /// layout/arity, finite margins); throws ropuf::Error on violation.
@@ -142,9 +162,14 @@ class Registry {
 
   bool contains(std::uint64_t device_id) const;
 
-  /// O(log n) binary search over the raw index, then a single-record
-  /// decode. nullopt when the device is not enrolled; FormatError
-  /// (kBadRecord) when the record's payload is inconsistent.
+  /// O(log n) binary search over the raw index: the device's record
+  /// payload, a view into this registry's bytes (valid while it or a copy
+  /// lives). nullopt when the device is not enrolled.
+  std::optional<std::string_view> find_payload(std::uint64_t device_id) const;
+
+  /// find_payload, then a single-record decode. nullopt when the device is
+  /// not enrolled; FormatError (kBadRecord) when the record's payload is
+  /// inconsistent.
   std::optional<puf::ConfigurableEnrollment> find(std::uint64_t device_id) const;
 
   /// find() that throws ropuf::Error("unknown device ...") on absence.
@@ -161,6 +186,8 @@ class Registry {
   std::size_t index_entry_offset(std::size_t i) const;
   /// Index position of device_id, or npos.
   std::size_t index_position(std::uint64_t device_id) const;
+  /// Record payload of index entry i.
+  std::string_view payload_at(std::size_t i) const;
 
   std::shared_ptr<const void> owner_;  ///< keeps the mapping/buffer alive
   std::string_view bytes_;

@@ -39,6 +39,21 @@ const char* auth_status_name(AuthStatus status) {
   return "unknown";
 }
 
+// ----------------------------------------------------------- verifier record
+
+const std::optional<crypto::Sha256Digest>& VerifierRecord::key() const {
+  static obs::Counter& derived = obs::Registry::instance().counter("auth.keys_derived");
+  if (auth.provisioned()) {
+    // Reactors share cached records: the first proof derives, every other
+    // caller waits for it and reads the same key.
+    std::call_once(key_once_, [this] {
+      key_ = auth::derive_key(bits, auth);
+      derived.add(1);
+    });
+  }
+  return key_;
+}
+
 // -------------------------------------------------------------------- cache
 
 EnrollmentCache::EnrollmentCache(std::size_t capacity) : capacity_(capacity) {
@@ -150,6 +165,9 @@ AuthService::AuthService(const registry::EpochRegistry* epochs,
   reenroll_queued_ = &obs.counter("service.reenroll_queued");
   reenroll_overflow_ = &obs.counter("service.reenroll_overflow");
   reenroll_taken_ = &obs.counter("service.reenroll_taken");
+  // Registered up front, so a server that only ever sees v1 traffic
+  // exports auth.keys_derived = 0 rather than leaving it out.
+  obs.counter("auth.keys_derived");
 }
 
 std::size_t AuthService::admission_slice_index(std::uint64_t device_id) const {
@@ -185,23 +203,17 @@ EnrollmentCache::Entry AuthService::resolve_lookup(
   // tagged with the snapshot's epoch: after a swap they stop answering
   // (stale-evicted on first touch), so a replaced or retired record can
   // never serve from cache.
+  const std::optional<std::string_view> payload = snapshot.find_payload(device_id);
+  if (!payload.has_value()) return nullptr;
   auto record = std::make_shared<VerifierRecord>();
   record->epoch = epoch;
+  // Only the response column and the auth tail are read; the v2 key waits
+  // for the first proof (VerifierRecord::key), so v1 traffic never derives
+  // one. A record that fails the read is cached as corrupt.
   try {
-    const std::optional<puf::ConfigurableEnrollment> enrollment =
-        snapshot.find(device_id);
-    if (!enrollment.has_value()) return nullptr;
-    record->bits = enrollment->response();
-    // Derive the v2 verification key once per (device, epoch): Rep over
-    // the clean enrollment response plus the KCV cross-check. Leaving it
-    // disengaged (unprovisioned record or tampered auth material) is
-    // itself a cached outcome — every proof against it answers
-    // kCorruptRecord without touching the extractor again.
-    if (enrollment->has_auth()) {
-      record->key = auth::derive_enrollment_key(*enrollment);
-      record->proof_bits =
-          enrollment->auth_helper.size() * enrollment->auth_helper.front().size();
-    }
+    registry::VerifierFields fields = registry::read_verifier_fields(*payload);
+    record->bits = std::move(fields.response);
+    record->auth = std::move(fields.auth);
   } catch (const registry::FormatError&) {
     record->corrupt = true;
   }
@@ -358,7 +370,9 @@ AuthVerdict AuthService::verify_proof_pinned(
     unknown.add(1);
     return AuthVerdict{AuthStatus::kUnknownDevice, 0, 0};
   }
-  if (record->corrupt || !record->key.has_value()) {
+  // A corrupt record carries no auth material, so its key is disengaged.
+  const std::optional<crypto::Sha256Digest>& key = record->key();
+  if (!key.has_value()) {
     // Corrupt, or enrolled but not provisioned for v2 (or its auth material
     // failed the key check): the record cannot back a proof.
     corrupt.add(1);
@@ -366,13 +380,13 @@ AuthVerdict AuthService::verify_proof_pinned(
   }
   // response_bits reports the helper-covered span; distance is always 0 —
   // the whole point of v2 is that no distance oracle leaves the verifier.
-  if (auth::verify_tag(*record->key, request.nonce, request.request_id,
-                       request.device_id, request.tag)) {
+  if (auth::verify_tag(*key, request.nonce, request.request_id, request.device_id,
+                       request.tag)) {
     accepted.add(1);
-    return AuthVerdict{AuthStatus::kAccept, 0, record->proof_bits};
+    return AuthVerdict{AuthStatus::kAccept, 0, record->proof_bits()};
   }
   rejected.add(1);
-  return AuthVerdict{AuthStatus::kReject, 0, record->proof_bits};
+  return AuthVerdict{AuthStatus::kReject, 0, record->proof_bits()};
 }
 
 std::vector<AuthVerdict> AuthService::verify_proof_batch(

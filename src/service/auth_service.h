@@ -13,10 +13,10 @@
 //    (parallel_for_chunked); verdict i depends only on request i and the
 //    immutable registry, so a batch's verdicts are bit-identical at any
 //    thread budget.
-//  * Record decoding is the per-request cost that matters, so each device's
+//  * Record reading is the per-request cost that matters, so each device's
 //    *verifier record* (service::VerifierRecord: the enrolled bit per pair
-//    and the derived v2 key, nothing else of the decoded enrollment) sits in
-//    a capacity-bounded sharded LRU cache with hit/miss counters in obs. A
+//    and the v2 auth material, nothing else of the record) sits in a
+//    capacity-bounded sharded LRU cache with hit/miss counters in obs. A
 //    corrupt record is cached too: repeat traffic for a rotten id costs one
 //    shard lookup, never a registry walk or a thrown decode error. Unknown
 //    ids never reach the cache: the pinned snapshot's live-id set answers
@@ -170,26 +170,37 @@ struct AuthServiceOptions {
 /// What a verdict reads from one device's record, resolved once per
 /// (device, epoch) and cached. Case-1 and Case-2 selection fix every pair's
 /// configuration at enrollment, so a verifier needs only the enrolled bit
-/// per pair (v1) and the derived key (v2); the decoded enrollment is dropped
-/// as soon as both are read out of it.
+/// per pair (v1) and the key derived from the auth material (v2). A fill
+/// reads both straight from the record bytes (registry::read_verifier_fields);
+/// the key is derived on the first proof that needs it.
 struct VerifierRecord {
   /// Registry epoch the record was resolved under. A record only answers
   /// for its own epoch: a swap (delta append, compaction, SIGHUP reload)
   /// makes every older record stale, so a replaced record can never serve
   /// from cache after its epoch retires.
   std::uint64_t epoch = 0;
-  /// The record raised kBadRecord on decode; every other field is empty.
+  /// The record raised kBadRecord on read; every other field is empty.
   bool corrupt = false;
   /// The enrolled response, one bit per pair (bit p = pair p's bit).
   BitVec bits;
-  /// The protocol-v2 verification key, derived once at resolve time for
-  /// provisioned records (Rep over the clean enrollment response + KCV
-  /// cross-check). Disengaged when the record is unprovisioned or its auth
-  /// material fails the cross-check — proofs against it answer
-  /// kCorruptRecord without re-running the extractor per request.
-  std::optional<crypto::Sha256Digest> key;
+  /// The record's v2 auth material as stored (code id, helper blocks, key
+  /// check value); unprovisioned records carry none.
+  auth::AuthMaterial auth;
+
+  /// The protocol-v2 verification key: Rep over `bits` plus the helper,
+  /// cross-checked against the key check value (auth::derive_key). Derived
+  /// once, on the first call, and counted under auth.keys_derived, so v1
+  /// traffic never pays for it; concurrent first calls from several
+  /// reactors derive it exactly once. Disengaged when the record is
+  /// unprovisioned or its auth material fails the cross-check — proofs
+  /// against it answer kCorruptRecord without re-running the extractor.
+  const std::optional<crypto::Sha256Digest>& key() const;
   /// Bits the v2 helper data covers (the proof verdicts' response_bits).
-  std::size_t proof_bits = 0;
+  std::size_t proof_bits() const { return auth.covered_bits(); }
+
+ private:
+  mutable std::once_flag key_once_;
+  mutable std::optional<crypto::Sha256Digest> key_;
 };
 
 /// Sharded LRU of verifier records, keyed by device id: one BoundedLru

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -366,6 +368,82 @@ TEST(AuthService, OneVerifierRecordServesBothProtocols) {
   const AuthVerdict v2_uncached = uncached.verify_proof(v2);
   EXPECT_EQ(verdict_digest({v1_verdict, v2_verdict}),
             verdict_digest({v1_uncached, v2_uncached}));
+}
+
+/// A valid v2 proof for `id` against the registry's enrolled key.
+ProofRequest valid_proof(const registry::Registry& registry, std::uint64_t id,
+                         std::uint64_t request_id) {
+  const std::optional<crypto::Sha256Digest> key =
+      auth::derive_enrollment_key(registry.lookup(id));
+  EXPECT_TRUE(key.has_value());
+  ProofRequest proof;
+  proof.request_id = request_id;
+  proof.device_id = id;
+  proof.nonce.fill(static_cast<std::uint8_t>(request_id));
+  proof.tag = auth::prove(key.value_or(crypto::Sha256Digest{}), proof.nonce,
+                          request_id, id);
+  return proof;
+}
+
+TEST(AuthService, V1TrafficNeverDerivesAKeyAndAProofDerivesOnce) {
+  const auto registry = test_registry();
+  const registry::EpochRegistry epochs(registry);
+  AuthServiceOptions options = small_options();
+  options.cache_capacity = 64;  // the whole test fleet stays cached
+  const AuthService service(&epochs, options);
+
+  obs::set_metrics_enabled(true);
+  static obs::Counter& derived = obs::Registry::instance().counter("auth.keys_derived");
+  const std::uint64_t before = derived.value();
+  WorkloadSpec spec;
+  spec.requests = 512;
+  const auto requests = synthesize_workload(registry, options, spec);
+  service.verify_batch(requests);
+  const std::uint64_t after_v1 = derived.value();
+
+  const std::uint64_t id = registry.device_id_at(5);
+  const AuthVerdict first = service.verify_proof(valid_proof(registry, id, 1));
+  const std::uint64_t after_first = derived.value();
+  const AuthVerdict second = service.verify_proof(valid_proof(registry, id, 2));
+  const std::uint64_t after_second = derived.value();
+  obs::set_metrics_enabled(false);
+
+  EXPECT_EQ(service.cache_size(), registry.device_count());
+  EXPECT_EQ(after_v1, before);            // v1 verdicts read bits only
+  EXPECT_EQ(after_first, after_v1 + 1);   // the first proof derives
+  EXPECT_EQ(after_second, after_first);   // the second reads the kept key
+  EXPECT_EQ(first.status, AuthStatus::kAccept);
+  EXPECT_EQ(second.status, AuthStatus::kAccept);
+}
+
+TEST(AuthService, ConcurrentFirstProofsDeriveTheKeyOnce) {
+  // Reactors share cached records. Warm one device's record with a v1
+  // verify (no key yet), then race first proofs for it from several
+  // threads: the key derives exactly once and every proof accepts.
+  const auto registry = test_registry();
+  const registry::EpochRegistry epochs(registry);
+  const AuthService service(&epochs, small_options());
+  const std::uint64_t id = registry.device_id_at(4);
+  ASSERT_EQ(service.verify(AuthRequest{id, 42, true_response(registry, id, 42, 8)}).status,
+            AuthStatus::kAccept);
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<ProofRequest> proofs;
+  for (std::size_t t = 0; t < kThreads; ++t) proofs.push_back(valid_proof(registry, id, t + 1));
+  obs::set_metrics_enabled(true);
+  static obs::Counter& derived = obs::Registry::instance().counter("auth.keys_derived");
+  const std::uint64_t before = derived.value();
+  std::vector<AuthStatus> statuses(kThreads, AuthStatus::kReject);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { statuses[t] = service.verify_proof(proofs[t]).status; });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::uint64_t moved = derived.value() - before;
+  obs::set_metrics_enabled(false);
+
+  EXPECT_EQ(moved, 1u);
+  for (const AuthStatus status : statuses) EXPECT_EQ(status, AuthStatus::kAccept);
 }
 
 // -------------------------------------------------------------- determinism

@@ -48,3 +48,10 @@ expect_range_error("ropuf_serve --bits -3" "--bits must be a non-negative intege
                    ${SERVE} --devices 8 --bits -3)
 expect_range_error("auth-batch --cache -1" "--cache must be a non-negative integer"
                    ${CLI} auth-batch --devices 8 --cache -1)
+expect_range_error("auth-batch --requests -1"
+                   "--requests must be a non-negative integer <= 67108864"
+                   ${CLI} auth-batch --devices 8 --requests -1)
+expect_range_error("enroll --pairs 300" "--pairs must be a non-negative integer <= 256"
+                   ${CLI} enroll --pairs 300)
+expect_range_error("fleet-stats --seed -5" "--seed must be a non-negative integer"
+                   ${CLI} fleet-stats --boards 2 --seed -5)

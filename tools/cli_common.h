@@ -152,7 +152,7 @@ inline registry::FleetSpec fleet_spec_from_args(const Args& args) {
   ROPUF_REQUIRE(mode_name == "case1" || mode_name == "case2", "mode must be case1|case2");
   spec.mode = mode_name == "case1" ? puf::SelectionCase::kSameConfig
                                    : puf::SelectionCase::kIndependent;
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 0x5ca1ab1e));
+  spec.seed = count_arg(args, "seed", 0x5ca1ab1e);
   spec.noise_sigma_ps = args.number("noise", 0.5);
   return spec;
 }

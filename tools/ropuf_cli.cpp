@@ -56,6 +56,20 @@ namespace {
 using namespace ropuf;
 using namespace ropuf::cli;
 
+// Upper bounds of the count flags: far past any run these commands are
+// meant for, and low enough that a typo fails the flag parse instead of
+// asking for an allocation the host cannot hold. Seeds and ids take the
+// whole u64 range.
+constexpr std::uint64_t kMaxBoards = 1u << 16;
+constexpr std::uint64_t kMaxBoardStages = 256;  // the 512-unit board's bounds
+constexpr std::uint64_t kMaxBoardPairs = 256;
+constexpr std::uint64_t kMaxTableStages = 1u << 12;
+constexpr std::uint64_t kMaxTrials = 1u << 20;
+constexpr std::uint64_t kMaxStreams = 1u << 20;
+constexpr std::uint64_t kMaxStreamBits = 1u << 24;
+constexpr std::uint64_t kMaxRequests = 1u << 26;
+constexpr std::uint64_t kMaxWindow = 1u << 16;
+
 sil::Chip chip_for_seed(std::uint64_t seed) {
   sil::Fab fab(sil::ProcessParams{}, seed);
   return fab.fabricate(16, 32);  // 512 units, the paper's board size
@@ -67,7 +81,7 @@ sil::Chip chip_for_seed(std::uint64_t seed) {
 std::optional<sil::FaultInjector> fault_injector_from_args(const Args& args) {
   const double rate = args.number("fault-rate", 0.0);
   if (rate <= 0.0) return std::nullopt;
-  const auto seed = static_cast<std::uint64_t>(args.number("fault-seed", 0xfa017));
+  const auto seed = count_arg(args, "fault-seed", 0xfa017);
   return sil::FaultInjector(sil::FaultPlan::uniform(rate), seed);
 }
 
@@ -92,11 +106,11 @@ std::string read_text_file(const std::string& path, const std::string& what) {
 }
 
 int cmd_fleet_stats(const Args& args) {
-  const std::size_t boards = static_cast<std::size_t>(args.number("boards", 20));
+  const std::size_t boards = static_cast<std::size_t>(count_arg(args, "boards", 20, kMaxBoards));
   sil::VtFleetSpec spec;
   spec.nominal_boards = boards;
   spec.env_boards = 0;
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 0x20140601));
+  spec.seed = count_arg(args, "seed", 0x20140601);
   const sil::VtFleet fleet = sil::make_vt_fleet(spec);
 
   analysis::DatasetOptions opts;
@@ -109,9 +123,9 @@ int cmd_fleet_stats(const Args& args) {
 }
 
 int cmd_enroll(const Args& args) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  const std::size_t stages = static_cast<std::size_t>(args.number("stages", 7));
-  const std::size_t pairs = static_cast<std::size_t>(args.number("pairs", 32));
+  const std::uint64_t seed = count_arg(args, "seed", 1);
+  const std::size_t stages = static_cast<std::size_t>(count_arg(args, "stages", 7, kMaxBoardStages));
+  const std::size_t pairs = static_cast<std::size_t>(count_arg(args, "pairs", 32, kMaxBoardPairs));
   const std::string mode_name = args.get("mode", "case2");
   ROPUF_REQUIRE(mode_name == "case1" || mode_name == "case2", "mode must be case1|case2");
   const puf::SelectionCase mode = mode_name == "case1" ? puf::SelectionCase::kSameConfig
@@ -142,7 +156,7 @@ int cmd_enroll(const Args& args) {
 }
 
 int cmd_respond(const Args& args) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed", 1));
+  const std::uint64_t seed = count_arg(args, "seed", 1);
   const std::string path = args.get("enrollment", "enrollment.ropuf");
   const auto enrollment = puf::parse_enrollment(read_text_file(path, "enrollment"));
 
@@ -172,10 +186,10 @@ int cmd_fault_sweep(const Args& args) {
   // nominal under an injected fault campaign, derive a key through the
   // code-offset fuzzy extractor, re-measure under the same campaign, and
   // check the key reproduces — hardened pipeline vs. the naive one.
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed", 1));
+  const std::uint64_t seed = count_arg(args, "seed", 1);
   const std::uint64_t fault_seed =
-      static_cast<std::uint64_t>(args.number("fault-seed", 0xfa017));
-  const int trials = static_cast<int>(args.number("trials", 5));
+      count_arg(args, "fault-seed", 0xfa017);
+  const int trials = static_cast<int>(count_arg(args, "trials", 5, kMaxTrials));
   ROPUF_REQUIRE(trials >= 1, "trials must be >= 1");
   const double max_rate = args.number("max-rate", 0.02);
   ROPUF_REQUIRE(max_rate >= 0.0 && max_rate < 1.0, "max-rate must be in [0, 1)");
@@ -240,12 +254,12 @@ int cmd_fault_sweep(const Args& args) {
 }
 
 int cmd_nist(const Args& args) {
-  const std::size_t streams = static_cast<std::size_t>(args.number("streams", 97));
-  const std::size_t bits = static_cast<std::size_t>(args.number("bits", 96));
+  const std::size_t streams = static_cast<std::size_t>(count_arg(args, "streams", 97, kMaxStreams));
+  const std::size_t bits = static_cast<std::size_t>(count_arg(args, "bits", 96, kMaxStreamBits));
   const double bias = args.number("bias", 0.5);
   ROPUF_REQUIRE(bias > 0.0 && bias < 1.0, "bias must be in (0, 1)");
 
-  Rng rng(static_cast<std::uint64_t>(args.number("seed", 7)));
+  Rng rng(count_arg(args, "seed", 7));
   nist::FinalAnalysisReport report;
   const nist::SuiteConfig config =
       bits <= 256 ? nist::paper_config() : nist::SuiteConfig{};
@@ -268,7 +282,7 @@ int cmd_stats(const Args& args) {
   // the golden-file test relies on.
   obs::set_metrics_enabled(true);
   obs::Registry::instance().reset();
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed", 42));
+  const std::uint64_t seed = count_arg(args, "seed", 42);
 
   // 1) Full-circuit device: hardened enroll + respond under a mild fault
   //    campaign (exercises robust_measure, dark-bit masking, the counter).
@@ -316,11 +330,11 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_export_dataset(const Args& args) {
-  const std::size_t boards = static_cast<std::size_t>(args.number("boards", 20));
+  const std::size_t boards = static_cast<std::size_t>(count_arg(args, "boards", 20, kMaxBoards));
   sil::VtFleetSpec spec;
   spec.nominal_boards = boards;
   spec.env_boards = 0;
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 0x20140601));
+  spec.seed = count_arg(args, "seed", 0x20140601);
   const sil::VtFleet fleet = sil::make_vt_fleet(spec);
   Rng rng(spec.seed ^ 0xdada);
   const sil::MeasurementTable table =
@@ -343,7 +357,7 @@ int cmd_dataset_stats(const Args& args) {
 
   analysis::DatasetOptions opts;
   opts.distill = args.get("distill", "on") != "off";
-  opts.stages = static_cast<std::size_t>(args.number("stages", 5));
+  opts.stages = static_cast<std::size_t>(count_arg(args, "stages", 5, kMaxTableStages));
   const auto responses = analysis::table_responses(table, opts);
   std::printf("boards: %zu   bits/board: %zu   distiller: %s\n", responses.size(),
               responses[0].size(), opts.distill ? "on" : "off");
@@ -366,7 +380,7 @@ int cmd_registry_build(const Args& args) {
   if (args.has("enrollments")) {
     // Conversion path: pack existing v1 text enrollments into one registry.
     registry::RegistryBuilder builder;
-    std::uint64_t id = static_cast<std::uint64_t>(args.number("base-id", 1));
+    std::uint64_t id = count_arg(args, "base-id", 1);
     std::stringstream list(args.get("enrollments", ""));
     std::string path;
     while (std::getline(list, path, ',')) {
@@ -520,11 +534,11 @@ int cmd_registry_stats(const Args& args) {
 /// synthesize the identical request stream and compare verdict digests.
 service::WorkloadSpec workload_from_args(const Args& args) {
   service::WorkloadSpec workload;
-  workload.requests = static_cast<std::size_t>(args.number("requests", 1024));
+  workload.requests = static_cast<std::size_t>(count_arg(args, "requests", 1024, kMaxRequests));
   workload.flip_rate = args.number("flip-rate", 0.01);
   workload.forge_rate = args.number("forge-rate", 0.05);
   workload.unknown_rate = args.number("unknown-rate", 0.02);
-  workload.seed = static_cast<std::uint64_t>(args.number("workload-seed", 0x570ca57));
+  workload.seed = count_arg(args, "workload-seed", 0x570ca57);
   return workload;
 }
 
@@ -596,7 +610,7 @@ int cmd_auth_client(const Args& args) {
   net::ClientOptions client_opts;
   client_opts.host = args.get("host", "127.0.0.1");
   client_opts.port = static_cast<std::uint16_t>(count_arg(args, "port", 0, 65535));
-  client_opts.window = static_cast<std::size_t>(args.number("window", 128));
+  client_opts.window = static_cast<std::size_t>(count_arg(args, "window", 128, kMaxWindow));
   net::AuthClient client(client_opts);
   client.connect();
 
