@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "crypto/hmac.h"
+#include "crypto/sha256_compress.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "registry/registry.h"
@@ -177,8 +178,12 @@ void run() {
                 "protocol v2 crypto pipeline - fuzzy Gen/Rep, HMAC, wire exchange");
 
   std::printf("registry: %zu devices   workload: %zu requests   transport: "
-              "loopback TCP\n\n",
-              fleet_registry().device_count(), proof_workload().size());
+              "loopback TCP   sha256 body: %s\n\n",
+              fleet_registry().device_count(), proof_workload().size(),
+              crypto::detail::active_compress_name());
+  // Every timing below runs on this body; the regression gate prints it
+  // when a capture and its baseline differ.
+  benchmark::AddCustomContext("sha256_body", crypto::detail::active_compress_name());
 
   // Primitive rates: enrollment-time Gen, prover-side Rep, one HMAC tag.
   const puf::ConfigurableEnrollment bare = bare_enrollment();
@@ -308,6 +313,54 @@ void bm_hmac_sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(bm_hmac_sha256)->Arg(32)->Arg(1024);
+
+/// The keyed path every v2 tag takes: states built once, two compressions
+/// per one-block message.
+void bm_hmac_keyed(benchmark::State& state) {
+  const std::string key_bytes(32, 'k');
+  const crypto::HmacKey key(reinterpret_cast<const std::uint8_t*>(key_bytes.data()),
+                            key_bytes.size());
+  const std::string message(static_cast<std::size_t>(state.range(0)), 'm');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        key.tag(reinterpret_cast<const std::uint8_t*>(message.data()), message.size()));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(bm_hmac_keyed)->Arg(32);
+
+/// One SHA-256 compression through a given body.
+void bm_sha256_compress(benchmark::State& state, crypto::detail::CompressFn body) {
+  if (body == nullptr) {
+    state.SkipWithError("this CPU lacks the SHA extensions");
+    return;
+  }
+  crypto::detail::Sha256State chaining = crypto::detail::kSha256Init;
+  std::vector<std::uint8_t> block(crypto::detail::kSha256BlockBytes);
+  for (std::size_t i = 0; i < block.size(); ++i) block[i] = static_cast<std::uint8_t>(i * 37);
+  for (auto _ : state) {
+    body(chaining, block.data());
+    benchmark::DoNotOptimize(chaining);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(crypto::detail::kSha256BlockBytes));
+}
+BENCHMARK_CAPTURE(bm_sha256_compress, portable, &crypto::detail::compress_portable);
+BENCHMARK_CAPTURE(bm_sha256_compress, sha_ni, crypto::detail::sha_ni_compress());
+
+/// One v2 challenge nonce, as the server mints it per request.
+void bm_nonce_next(benchmark::State& state) {
+  auth::NonceFactory nonces(0x0ff11e);
+  std::uint64_t request_id = 0;
+  for (auto _ : state) {
+    ++request_id;
+    benchmark::DoNotOptimize(nonces.next(request_id % kDevices, request_id));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(bm_nonce_next);
 
 void bm_fuzzy_gen(benchmark::State& state) {
   const puf::ConfigurableEnrollment bare = bare_enrollment();

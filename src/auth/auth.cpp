@@ -1,11 +1,13 @@
 #include "auth/auth.h"
 
+#include <sys/random.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "common/error.h"
 #include "crypto/fuzzy_extractor.h"
-#include "crypto/hmac.h"
 
 namespace ropuf::auth {
 namespace {
@@ -51,6 +53,31 @@ std::array<std::uint8_t, 32> proof_message(const Nonce& nonce,
     message[24 + i] = static_cast<std::uint8_t>((device_id >> (8 * i)) & 0xff);
   }
   return message;
+}
+
+/// The deterministic nonce key of a seed: SHA-256 of its 8 little-endian
+/// bytes.
+crypto::Sha256Digest seed_key(std::uint64_t seed) {
+  std::array<std::uint8_t, 8> bytes{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>((seed >> (8 * i)) & 0xff);
+  }
+  return crypto::sha256(bytes.data(), bytes.size());
+}
+
+/// A nonce key from the kernel's entropy pool. getrandom(2) blocks only
+/// until the pool is first initialized, and a request this small is never
+/// cut short once it is; EINTR before then is retried.
+crypto::Sha256Digest random_key() {
+  crypto::Sha256Digest key{};
+  std::size_t filled = 0;
+  while (filled < key.size()) {
+    const ssize_t got = ::getrandom(key.data() + filled, key.size() - filled, 0);
+    if (got < 0 && errno == EINTR) continue;
+    ROPUF_REQUIRE(got > 0, "getrandom failed: cannot draw a nonce key");
+    filled += static_cast<std::size_t>(got);
+  }
+  return key;
 }
 
 }  // namespace
@@ -134,19 +161,28 @@ std::optional<crypto::Sha256Digest> recover_key(
   return extractor.reproduce(noisy_response, enrollment.auth_helper);
 }
 
-Tag prove(const crypto::Sha256Digest& key, const Nonce& nonce,
-          std::uint64_t request_id, std::uint64_t device_id) {
+Tag prove(const crypto::HmacKey& key, const Nonce& nonce, std::uint64_t request_id,
+          std::uint64_t device_id) {
   const std::array<std::uint8_t, 32> message =
       proof_message(nonce, request_id, device_id);
-  return crypto::hmac_sha256(key.data(), key.size(), message.data(),
-                             message.size());
+  return key.tag(message.data(), message.size());
+}
+
+Tag prove(const crypto::Sha256Digest& key, const Nonce& nonce,
+          std::uint64_t request_id, std::uint64_t device_id) {
+  return prove(crypto::HmacKey(key), nonce, request_id, device_id);
+}
+
+bool verify_tag(const crypto::HmacKey& key, const Nonce& nonce, std::uint64_t request_id,
+                std::uint64_t device_id, const Tag& tag) {
+  const Tag expected = prove(key, nonce, request_id, device_id);
+  return constant_time_equal(expected.data(), tag.data(), expected.size());
 }
 
 bool verify_tag(const crypto::Sha256Digest& key, const Nonce& nonce,
                 std::uint64_t request_id, std::uint64_t device_id,
                 const Tag& tag) {
-  const Tag expected = prove(key, nonce, request_id, device_id);
-  return constant_time_equal(expected.data(), tag.data(), expected.size());
+  return verify_tag(crypto::HmacKey(key), nonce, request_id, device_id, tag);
 }
 
 bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
@@ -158,13 +194,9 @@ bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
   return acc == 0;
 }
 
-NonceFactory::NonceFactory(std::uint64_t seed) {
-  std::array<std::uint8_t, 8> bytes{};
-  for (std::size_t i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<std::uint8_t>((seed >> (8 * i)) & 0xff);
-  }
-  seed_key_ = crypto::sha256(bytes.data(), bytes.size());
-}
+NonceFactory::NonceFactory() : NonceFactory(random_key()) {}
+
+NonceFactory::NonceFactory(std::uint64_t seed) : NonceFactory(seed_key(seed)) {}
 
 Nonce NonceFactory::next(std::uint64_t device_id, std::uint64_t request_id) {
   const std::uint64_t count =
@@ -175,8 +207,7 @@ Nonce NonceFactory::next(std::uint64_t device_id, std::uint64_t request_id) {
     message[8 + i] = static_cast<std::uint8_t>((device_id >> (8 * i)) & 0xff);
     message[16 + i] = static_cast<std::uint8_t>((request_id >> (8 * i)) & 0xff);
   }
-  const crypto::Sha256Digest digest = crypto::hmac_sha256(
-      seed_key_.data(), seed_key_.size(), message.data(), message.size());
+  const crypto::Sha256Digest digest = key_.tag(message.data(), message.size());
   Nonce nonce{};
   std::memcpy(nonce.data(), digest.data(), nonce.size());
   return nonce;

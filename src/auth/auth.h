@@ -36,6 +36,7 @@
 #include "common/bitvec.h"
 #include "common/rng.h"
 #include "crypto/cyclic_code.h"
+#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "puf/schemes.h"
 
@@ -106,10 +107,16 @@ std::optional<crypto::Sha256Digest> recover_key(
     const BitVec& noisy_response, const puf::ConfigurableEnrollment& enrollment);
 
 /// HMAC(key, nonce || request_id || device_id), ids little-endian.
+Tag prove(const crypto::HmacKey& key, const Nonce& nonce, std::uint64_t request_id,
+          std::uint64_t device_id);
+/// prove() under a raw key (keys its HMAC states per call).
 Tag prove(const crypto::Sha256Digest& key, const Nonce& nonce,
           std::uint64_t request_id, std::uint64_t device_id);
 
 /// Constant-time tag comparison (no early-out on the first differing byte).
+bool verify_tag(const crypto::HmacKey& key, const Nonce& nonce, std::uint64_t request_id,
+                std::uint64_t device_id, const Tag& tag);
+/// verify_tag() under a raw key.
 bool verify_tag(const crypto::Sha256Digest& key, const Nonce& nonce,
                 std::uint64_t request_id, std::uint64_t device_id,
                 const Tag& tag);
@@ -118,21 +125,30 @@ bool verify_tag(const crypto::Sha256Digest& key, const Nonce& nonce,
 bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
                          std::size_t size);
 
-/// Deterministic nonce source: nonce = first 16 bytes of
-/// HMAC(seed, counter || device_id || request_id) over an atomic counter,
-/// so every challenge is fresh (replays fail) while a fixed seed makes test
-/// transcripts reproducible. Verdicts never depend on nonce *values* — a
-/// recovered key MACs any nonce correctly — which is what keeps online
-/// digests parity-comparable across shard placements and thread budgets.
+/// Challenge-nonce source: nonce = first 16 bytes of
+/// HMAC(K, counter || device_id || request_id) over an atomic counter, so
+/// every challenge from one factory is fresh (replays fail). The counter
+/// starts at 0 in every process, so K decides whether two processes repeat
+/// each other: the default constructor draws K from the kernel, which keeps
+/// a proof recorded against one server lifetime from answering the next;
+/// a fixed seed makes test transcripts reproducible. Verdicts never depend
+/// on nonce *values* — a recovered key MACs any nonce correctly — which is
+/// what keeps online digests parity-comparable across shard placements and
+/// thread budgets.
 class NonceFactory {
  public:
+  /// K = 32 bytes from getrandom(2); throws when the kernel cannot supply them.
+  NonceFactory();
+  /// Deterministic stream: K = SHA-256(seed, 8 bytes little-endian).
   explicit NonceFactory(std::uint64_t seed);
 
   /// Thread-safe; each call consumes one counter value.
   Nonce next(std::uint64_t device_id, std::uint64_t request_id);
 
  private:
-  crypto::Sha256Digest seed_key_{};
+  explicit NonceFactory(const crypto::Sha256Digest& key) : key_(key) {}
+
+  crypto::HmacKey key_;
   std::atomic<std::uint64_t> counter_{0};
 };
 

@@ -1,44 +1,44 @@
 #include "crypto/hmac.h"
 
-#include <array>
 #include <cstring>
 
+#include "crypto/sha256_compress.h"
+
 namespace ropuf::crypto {
-namespace {
 
-/// SHA-256 processes 64-byte blocks; HMAC pads/ipads at that width.
-constexpr std::size_t kBlockBytes = 64;
-
-}  // namespace
-
-Sha256Digest hmac_sha256(const std::uint8_t* key, std::size_t key_size,
-                         const std::uint8_t* data, std::size_t data_size) {
+HmacKey::HmacKey(const std::uint8_t* key, std::size_t key_size) {
+  constexpr std::size_t kBlock = detail::kSha256BlockBytes;
   // K' = key hashed down when longer than a block, zero-padded to the block.
-  std::array<std::uint8_t, kBlockBytes> padded{};
-  if (key_size > kBlockBytes) {
+  std::array<std::uint8_t, kBlock> padded{};
+  if (key_size > kBlock) {
     const Sha256Digest reduced = sha256(key, key_size);
     std::memcpy(padded.data(), reduced.data(), reduced.size());
   } else if (key_size > 0) {
     std::memcpy(padded.data(), key, key_size);
   }
 
-  // inner = H((K' ^ ipad) || data)
-  std::vector<std::uint8_t> inner;
-  inner.reserve(kBlockBytes + data_size);
-  for (std::size_t i = 0; i < kBlockBytes; ++i) {
-    inner.push_back(static_cast<std::uint8_t>(padded[i] ^ 0x36u));
-  }
-  inner.insert(inner.end(), data, data + data_size);
-  const Sha256Digest inner_digest = sha256(inner.data(), inner.size());
+  std::array<std::uint8_t, kBlock> block{};
+  for (std::size_t i = 0; i < kBlock; ++i) block[i] = static_cast<std::uint8_t>(padded[i] ^ 0x36u);
+  inner_ = detail::kSha256Init;
+  detail::compress(inner_, block.data());
+  for (std::size_t i = 0; i < kBlock; ++i) block[i] = static_cast<std::uint8_t>(padded[i] ^ 0x5cu);
+  outer_ = detail::kSha256Init;
+  detail::compress(outer_, block.data());
+}
 
-  // outer = H((K' ^ opad) || inner)
-  std::array<std::uint8_t, kBlockBytes + 32> outer{};
-  for (std::size_t i = 0; i < kBlockBytes; ++i) {
-    outer[i] = static_cast<std::uint8_t>(padded[i] ^ 0x5cu);
-  }
-  std::memcpy(outer.data() + kBlockBytes, inner_digest.data(),
-              inner_digest.size());
-  return sha256(outer.data(), outer.size());
+Sha256Digest HmacKey::tag(const std::uint8_t* data, std::size_t size) const {
+  // inner = H((K' ^ ipad) || data), outer = H((K' ^ opad) || inner): each
+  // continues from its keyed state, one block already absorbed.
+  const detail::CompressFn body = detail::active_compress();
+  const Sha256Digest inner =
+      detail::finish(inner_, detail::kSha256BlockBytes, data, size, body);
+  return detail::finish(outer_, detail::kSha256BlockBytes, inner.data(), inner.size(),
+                        body);
+}
+
+Sha256Digest hmac_sha256(const std::uint8_t* key, std::size_t key_size,
+                         const std::uint8_t* data, std::size_t data_size) {
+  return HmacKey(key, key_size).tag(data, data_size);
 }
 
 Sha256Digest hmac_sha256(const std::vector<std::uint8_t>& key,

@@ -57,7 +57,8 @@ const std::vector<double>& queue_depth_bounds() {
 AuthServer::AuthServer(const service::AuthService* service, ServerOptions options)
     : service_(service),
       options_(std::move(options)),
-      nonce_factory_(options_.nonce_seed) {
+      nonce_factory_(options_.nonce_seed ? auth::NonceFactory(*options_.nonce_seed)
+                                         : auth::NonceFactory()) {
   ROPUF_REQUIRE(service_ != nullptr, "null auth service");
   ROPUF_REQUIRE(options_.max_batch > 0, "max_batch must be positive");
   ROPUF_REQUIRE(options_.max_pending > 0, "max_pending must be positive");

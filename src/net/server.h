@@ -85,6 +85,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -128,10 +129,13 @@ struct ServerOptions {
   int poll_interval_ms = 50;
   /// Hard cap on the graceful drain after request_stop().
   int drain_timeout_ms = 2000;
-  /// Seed for the v2 challenge-nonce stream (auth::NonceFactory). The
-  /// deterministic default keeps tests and parity harnesses reproducible;
-  /// a production deployment sets an unpredictable value.
-  std::uint64_t nonce_seed = 0x520c0de5eedull;
+  /// Seed for the v2 challenge-nonce stream (auth::NonceFactory). Unset
+  /// (the default), the nonce key comes from getrandom(2), so no two server
+  /// lifetimes issue the same challenges and a proof recorded against one
+  /// cannot answer the next. A seed gives a reproducible stream for tests
+  /// and parity harnesses; every process started with the same seed
+  /// repeats it, so a deployment leaves it unset.
+  std::optional<std::uint64_t> nonce_seed;
   /// Outstanding v2 challenges per connection; a v2 request past this
   /// answers kOverloaded (the v2 analogue of the pending-queue bound).
   std::size_t max_sessions = 1024;

@@ -41,13 +41,15 @@ const char* auth_status_name(AuthStatus status) {
 
 // ----------------------------------------------------------- verifier record
 
-const std::optional<crypto::Sha256Digest>& VerifierRecord::key() const {
+const std::optional<crypto::HmacKey>& VerifierRecord::key() const {
   static obs::Counter& derived = obs::Registry::instance().counter("auth.keys_derived");
   if (auth.provisioned()) {
     // Reactors share cached records: the first proof derives, every other
     // caller waits for it and reads the same key.
     std::call_once(key_once_, [this] {
-      key_ = auth::derive_key(bits, auth);
+      if (const std::optional<crypto::Sha256Digest> raw = auth::derive_key(bits, auth)) {
+        key_.emplace(*raw);
+      }
       derived.add(1);
     });
   }
@@ -371,7 +373,7 @@ AuthVerdict AuthService::verify_proof_pinned(
     return AuthVerdict{AuthStatus::kUnknownDevice, 0, 0};
   }
   // A corrupt record carries no auth material, so its key is disengaged.
-  const std::optional<crypto::Sha256Digest>& key = record->key();
+  const std::optional<crypto::HmacKey>& key = record->key();
   if (!key.has_value()) {
     // Corrupt, or enrolled but not provisioned for v2 (or its auth material
     // failed the key check): the record cannot back a proof.

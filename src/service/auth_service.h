@@ -188,19 +188,20 @@ struct VerifierRecord {
   auth::AuthMaterial auth;
 
   /// The protocol-v2 verification key: Rep over `bits` plus the helper,
-  /// cross-checked against the key check value (auth::derive_key). Derived
-  /// once, on the first call, and counted under auth.keys_derived, so v1
-  /// traffic never pays for it; concurrent first calls from several
-  /// reactors derive it exactly once. Disengaged when the record is
-  /// unprovisioned or its auth material fails the cross-check — proofs
-  /// against it answer kCorruptRecord without re-running the extractor.
-  const std::optional<crypto::Sha256Digest>& key() const;
+  /// cross-checked against the key check value (auth::derive_key), held as
+  /// keyed HMAC states so each proof costs two compressions. Derived once,
+  /// on the first call, and counted under auth.keys_derived, so v1 traffic
+  /// never pays for it; concurrent first calls from several reactors derive
+  /// it exactly once. Disengaged when the record is unprovisioned or its
+  /// auth material fails the cross-check — proofs against it answer
+  /// kCorruptRecord without re-running the extractor.
+  const std::optional<crypto::HmacKey>& key() const;
   /// Bits the v2 helper data covers (the proof verdicts' response_bits).
   std::size_t proof_bits() const { return auth.covered_bits(); }
 
  private:
   mutable std::once_flag key_once_;
-  mutable std::optional<crypto::Sha256Digest> key_;
+  mutable std::optional<crypto::HmacKey> key_;
 };
 
 /// Sharded LRU of verifier records, keyed by device id: one BoundedLru

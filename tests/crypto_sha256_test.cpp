@@ -2,38 +2,94 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "crypto/hmac.h"
+#include "crypto/sha256_compress.h"
 
 namespace ropuf::crypto {
 namespace {
 
+struct Body {
+  const char* name;
+  detail::CompressFn fn;
+};
+
+/// Every compression body this build and CPU can run: the portable
+/// reference always, SHA-NI where the CPU has it.
+std::vector<Body> bodies() {
+  std::vector<Body> out = {{"portable", &detail::compress_portable}};
+  if (detail::CompressFn sha_ni = detail::sha_ni_compress()) out.push_back({"sha-ni", sha_ni});
+  return out;
+}
+
+const std::uint8_t* bytes(const std::string& s) {
+  return reinterpret_cast<const std::uint8_t*>(s.data());
+}
+
+Sha256Digest sha256_via(detail::CompressFn body, const std::uint8_t* data, std::size_t size) {
+  return detail::finish(detail::kSha256Init, 0, data, size, body);
+}
+
+/// RFC 2104 spelled out over whole buffers, hashing through `body`: the
+/// reference the keyed-state HmacKey must match.
+Sha256Digest hmac_via(detail::CompressFn body, const std::uint8_t* key, std::size_t key_size,
+                      const std::uint8_t* data, std::size_t data_size) {
+  std::vector<std::uint8_t> padded(detail::kSha256BlockBytes, 0);
+  if (key_size > padded.size()) {
+    const Sha256Digest reduced = sha256_via(body, key, key_size);
+    std::copy(reduced.begin(), reduced.end(), padded.begin());
+  } else {
+    std::copy(key, key + key_size, padded.begin());
+  }
+  std::vector<std::uint8_t> inner;
+  for (const std::uint8_t b : padded) inner.push_back(static_cast<std::uint8_t>(b ^ 0x36u));
+  inner.insert(inner.end(), data, data + data_size);
+  const Sha256Digest inner_digest = sha256_via(body, inner.data(), inner.size());
+  std::vector<std::uint8_t> outer;
+  for (const std::uint8_t b : padded) outer.push_back(static_cast<std::uint8_t>(b ^ 0x5cu));
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return sha256_via(body, outer.data(), outer.size());
+}
+
+/// sha256(message) as hex, after checking that every compression body
+/// gives the same digest — so each vector below pins every body.
+std::string sha_hex(const std::string& message) {
+  const std::string dispatched = to_hex(sha256(message));
+  for (const Body& body : bodies()) {
+    EXPECT_EQ(to_hex(sha256_via(body.fn, bytes(message), message.size())), dispatched)
+        << body.name;
+  }
+  return dispatched;
+}
+
 TEST(Sha256, EmptyInputVector) {
-  EXPECT_EQ(to_hex(sha256(std::string())),
+  EXPECT_EQ(sha_hex(std::string()),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Sha256, AbcVector) {
-  EXPECT_EQ(to_hex(sha256(std::string("abc"))),
+  EXPECT_EQ(sha_hex("abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256, TwoBlockVector) {
   // FIPS 180-4 test vector: 448-bit message spanning the padding boundary.
-  EXPECT_EQ(to_hex(sha256(std::string(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+  EXPECT_EQ(sha_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
 TEST(Sha256, QuickBrownFox) {
-  EXPECT_EQ(to_hex(sha256(std::string("The quick brown fox jumps over the lazy dog"))),
+  EXPECT_EQ(sha_hex("The quick brown fox jumps over the lazy dog"),
             "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592");
 }
 
 TEST(Sha256, MillionAs) {
   // FIPS 180-4 long-message vector.
-  EXPECT_EQ(to_hex(sha256(std::string(1000000, 'a'))),
+  EXPECT_EQ(sha_hex(std::string(1000000, 'a')),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
@@ -42,7 +98,7 @@ TEST(Sha256, PaddingBoundaryLengths) {
   // and distinct.
   std::vector<std::string> hashes;
   for (const std::size_t len : {55u, 56u, 63u, 64u, 65u}) {
-    hashes.push_back(to_hex(sha256(std::string(len, 'x'))));
+    hashes.push_back(sha_hex(std::string(len, 'x')));
   }
   for (std::size_t i = 0; i < hashes.size(); ++i) {
     for (std::size_t j = i + 1; j < hashes.size(); ++j) EXPECT_NE(hashes[i], hashes[j]);
@@ -52,9 +108,8 @@ TEST(Sha256, PaddingBoundaryLengths) {
 TEST(Sha256, Nist896BitVector) {
   // FIPS 180-4 four-block vector: the 896-bit message, the longest of the
   // standard byte-oriented test vectors.
-  EXPECT_EQ(to_hex(sha256(std::string(
-                "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
-                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"))),
+  EXPECT_EQ(sha_hex("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                    "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
             "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
 }
 
@@ -74,10 +129,18 @@ TEST(Sha256, SingleBitChangeAvalanches) {
 
 // ------------------------------------------------------------- HMAC-SHA256
 // RFC 4231 test cases 1-7. The protocol-v2 proof tag and nonce factory
-// both stand on hmac_sha256, so the full vector set is pinned here.
+// both stand on HmacKey, so the full vector set is pinned here, through
+// hmac_sha256, HmacKey::tag and the RFC 2104 reference on every body.
 
 std::string hmac_hex(const std::string& key, const std::string& data) {
-  return to_hex(hmac_sha256(key, data));
+  const std::string dispatched = to_hex(hmac_sha256(key, data));
+  EXPECT_EQ(to_hex(HmacKey(bytes(key), key.size()).tag(bytes(data), data.size())), dispatched);
+  for (const Body& body : bodies()) {
+    EXPECT_EQ(to_hex(hmac_via(body.fn, bytes(key), key.size(), bytes(data), data.size())),
+              dispatched)
+        << body.name;
+  }
+  return dispatched;
 }
 
 TEST(HmacSha256, Rfc4231Case1) {
@@ -139,6 +202,64 @@ TEST(HmacSha256, EmptyKeyAndMessageAreDefined) {
   // so a refactor cannot silently change it.
   EXPECT_EQ(hmac_hex("", ""),
             "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+}
+
+// -------------------------------------------------------- body parity
+
+TEST(Sha256Compress, ShaNiMatchesPortableOnRandomStatesAndBlocks) {
+  const detail::CompressFn sha_ni = detail::sha_ni_compress();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "this CPU lacks the SHA extensions (or the build is not x86-64): "
+                    "only the portable body runs here";
+  }
+  Rng rng(0x5a4e1);
+  std::uint8_t block[detail::kSha256BlockBytes];
+  for (int trial = 0; trial < 20000; ++trial) {
+    detail::Sha256State state{};
+    for (std::uint32_t& word : state) word = static_cast<std::uint32_t>(rng.next_u64());
+    for (std::uint8_t& b : block) b = static_cast<std::uint8_t>(rng.next_u64());
+    detail::Sha256State portable = state;
+    detail::compress_portable(portable, block);
+    sha_ni(state, block);
+    ASSERT_EQ(state, portable) << "trial " << trial;
+  }
+}
+
+TEST(Sha256Compress, ActiveBodyIsShaNiExactlyWhenTheCpuHasIt) {
+  const bool has_sha_ni = detail::sha_ni_compress() != nullptr;
+  EXPECT_EQ(detail::active_compress() != &detail::compress_portable, has_sha_ni);
+  EXPECT_STREQ(detail::active_compress_name(), has_sha_ni ? "sha-ni" : "portable");
+}
+
+TEST(Sha256Parity, HashAndHmacMatchThePortableReferenceOnRandomInputs) {
+  // Messages of every length 0-300 cross the 55/56/64-byte padding edges
+  // several times; keys of 0-130 bytes cross the hash-the-key-first path.
+  Rng rng(0x9a217);
+  std::vector<std::uint8_t> message(300);
+  std::vector<std::uint8_t> key(130);
+  for (std::size_t size = 0; size <= message.size(); ++size) {
+    for (std::uint8_t& b : message) b = static_cast<std::uint8_t>(rng.next_u64());
+    for (std::uint8_t& b : key) b = static_cast<std::uint8_t>(rng.next_u64());
+    const std::size_t key_size = static_cast<std::size_t>(rng.uniform_below(key.size() + 1));
+    const std::uint8_t* m = message.data();
+    const std::uint8_t* k = key.data();
+
+    EXPECT_EQ(sha256(m, size), sha256_via(&detail::compress_portable, m, size))
+        << "message " << size;
+    const Sha256Digest reference =
+        hmac_via(&detail::compress_portable, k, key_size, m, size);
+    EXPECT_EQ(hmac_sha256(k, key_size, m, size), reference)
+        << "message " << size << ", key " << key_size;
+    EXPECT_EQ(HmacKey(k, key_size).tag(m, size), reference)
+        << "message " << size << ", key " << key_size;
+  }
+  for (std::size_t key_size = 0; key_size <= key.size(); ++key_size) {
+    for (std::uint8_t& b : key) b = static_cast<std::uint8_t>(rng.next_u64());
+    const std::size_t size = static_cast<std::size_t>(rng.uniform_below(message.size() + 1));
+    EXPECT_EQ(HmacKey(key.data(), key_size).tag(message.data(), size),
+              hmac_via(&detail::compress_portable, key.data(), key_size, message.data(), size))
+        << "message " << size << ", key " << key_size;
+  }
 }
 
 }  // namespace

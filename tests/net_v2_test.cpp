@@ -459,6 +459,75 @@ TEST(NetV2, ProofsCompleteInProofArrivalOrderNotRequestOrder) {
   }
 }
 
+/// One challenge from a fresh server for (did, rid), answered with `key`:
+/// the nonce, the proof frame the prover sent, and the server's verdict.
+struct Exchange {
+  auth::Nonce nonce{};
+  std::string proof;
+  net::WireStatus status = net::WireStatus::kReject;
+};
+
+Exchange challenge_and_prove(const ServerHarness& harness, std::uint64_t did,
+                             std::uint64_t rid, const crypto::Sha256Digest& key) {
+  net::AuthClient client = harness.client();
+  EXPECT_EQ(client.negotiate(), net::kWireVersionV2);
+  client.send_raw(net::encode_request_frame_v2(rid, did));
+  Exchange exchange;
+  exchange.nonce = net::decode_challenge_payload(client.recv_frame().payload).nonce;
+  exchange.proof = net::encode_proof_frame(rid, auth::prove(key, exchange.nonce, rid, did));
+  client.send_raw(exchange.proof);
+  exchange.status = net::decode_response_payload_v2(client.recv_frame().payload).response.status;
+  return exchange;
+}
+
+TEST(NetV2, DefaultNonceKeysDifferAcrossServerLifetimesSoRecordedProofsDoNotReplay) {
+  // Both servers issue the same counter value for the same (device, rid):
+  // only the nonce key can tell their challenges apart.
+  const registry::Registry registry = small_registry();
+  const std::uint64_t did = registry.device_id_at(0);
+  const crypto::Sha256Digest key = enrolled_key(registry, did);
+
+  Exchange recorded;
+  {
+    const ServerHarness first;
+    recorded = challenge_and_prove(first, did, 7, key);
+  }
+  EXPECT_EQ(recorded.status, net::WireStatus::kAccept);
+
+  const ServerHarness second;
+  net::AuthClient client = second.client();
+  ASSERT_EQ(client.negotiate(), net::kWireVersionV2);
+  client.send_raw(net::encode_request_frame_v2(7, did));
+  const auth::Nonce fresh = net::decode_challenge_payload(client.recv_frame().payload).nonce;
+  EXPECT_NE(fresh, recorded.nonce);
+  // The proof the first server accepted, replayed against the second's
+  // outstanding challenge for the same ids.
+  client.send_raw(recorded.proof);
+  const net::V2Response replay = net::decode_response_payload_v2(client.recv_frame().payload);
+  EXPECT_EQ(replay.request_id, 7u);
+  EXPECT_EQ(replay.response.status, net::WireStatus::kReject);
+}
+
+TEST(NetV2, ExplicitNonceSeedRepeatsTheChallengeStreamAcrossLifetimes) {
+  // The reproducible stream tests and parity harnesses ask for.
+  const registry::Registry registry = small_registry();
+  const std::uint64_t did = registry.device_id_at(0);
+  const crypto::Sha256Digest key = enrolled_key(registry, did);
+  net::ServerOptions seeded;
+  seeded.nonce_seed = 0x5eed;
+
+  Exchange first;
+  {
+    const ServerHarness server(seeded);
+    first = challenge_and_prove(server, did, 7, key);
+  }
+  const ServerHarness server(seeded);
+  const Exchange second = challenge_and_prove(server, did, 7, key);
+  EXPECT_EQ(first.nonce, second.nonce);
+  EXPECT_EQ(first.status, net::WireStatus::kAccept);
+  EXPECT_EQ(second.status, net::WireStatus::kAccept);
+}
+
 // ---------------------------------------------------------- proof batch API
 
 TEST(NetV2, SendProofBatchPreconditionsThrow) {

@@ -19,10 +19,13 @@ GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "check_bench_regression")
 
 
-def bench_doc(rates, build_type="release", num_cpus=8):
+def bench_doc(rates, build_type="release", num_cpus=8, sha256_body=None):
     """A minimal google-benchmark JSON document: name -> items_per_second."""
+    context = {"library_build_type": build_type, "num_cpus": num_cpus}
+    if sha256_body is not None:
+        context["sha256_body"] = sha256_body
     return {
-        "context": {"library_build_type": build_type, "num_cpus": num_cpus},
+        "context": context,
         "benchmarks": [
             {"name": name, "items_per_second": ips}
             for name, ips in sorted(rates.items())
@@ -119,6 +122,34 @@ class GateCase(unittest.TestCase):
         result = self.run_gate()
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("build-type mismatch", result.stderr)
+
+    def test_sha256_body_difference_is_a_note_not_a_verdict(self):
+        # A baseline without the key reads as '?'; a differing body is
+        # printed beside the build types and changes no verdict.
+        self.write(self.baseline_dir, "BENCH_bench_crypto.json",
+                   bench_doc({"bm_hmac_sha256/32": 1000.0}))
+        self.write(self.candidate_dir, "BENCH_bench_crypto.json",
+                   bench_doc({"bm_hmac_sha256/32": 990.0}, sha256_body="sha-ni"))
+        result = self.run_gate()
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("sha256_body baseline '?', candidate 'sha-ni'", result.stdout)
+        self.assertIn("build type baseline 'release', candidate 'release'", result.stdout)
+
+        # The same regression still fails with the note printed.
+        self.write(self.candidate_dir, "BENCH_bench_crypto.json",
+                   bench_doc({"bm_hmac_sha256/32": 500.0}, sha256_body="portable"))
+        result = self.run_gate()
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("candidate 'portable'", result.stdout)
+
+    def test_matching_sha256_body_prints_no_note(self):
+        self.write(self.baseline_dir, "BENCH_bench_crypto.json",
+                   bench_doc({"bm_hmac_sha256/32": 1000.0}, sha256_body="sha-ni"))
+        self.write(self.candidate_dir, "BENCH_bench_crypto.json",
+                   bench_doc({"bm_hmac_sha256/32": 1000.0}, sha256_body="sha-ni"))
+        result = self.run_gate()
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertNotIn("sha256_body", result.stdout)
 
     def test_missing_candidate_file_fails(self):
         self.write(self.baseline_dir, "BENCH_bench_verify.json",

@@ -113,8 +113,8 @@ int serve(const Args& args) {
       static_cast<int>(count_arg(args, "accept-backoff-ms", 100, INT_MAX));
   opts.drain_timeout_ms =
       static_cast<int>(count_arg(args, "drain-timeout-ms", 2000, INT_MAX));
-  // v2 challenge nonces; the deterministic default serves reproducible test
-  // harnesses, a production operator passes something unpredictable.
+  // v2 challenge nonces: keyed from getrandom(2) unless a seed asks for a
+  // reproducible stream (tests and parity harnesses only).
   if (args.has("nonce-seed")) {
     opts.nonce_seed = count_arg(args, "nonce-seed", 0);
   }
